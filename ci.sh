@@ -4,8 +4,8 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test -q
-cargo clippy --all-targets -- -D warnings
+cargo test -q --workspace
+cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
 # build artifacts must never be tracked (they were once; .gitignore plus

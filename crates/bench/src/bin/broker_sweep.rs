@@ -123,20 +123,35 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn finish_arm(
-    arm: &'static str,
-    arrivals: usize,
+/// What one arm's replay loop counted.
+struct Tally {
     started: usize,
     rejected: usize,
     ticks: u64,
     tick_wall_s: f64,
-    mut waits: Vec<f64>,
+    waits: Vec<f64>,
     busy_proc_s: f64,
-    capacity: u64,
-    t0: SimTime,
     t_end: SimTime,
     derives: u64,
+}
+
+fn finish_arm(
+    arm: &'static str,
+    arrivals: usize,
+    tally: Tally,
+    capacity: u64,
+    t0: SimTime,
 ) -> ArmResult {
+    let Tally {
+        started,
+        rejected,
+        ticks,
+        tick_wall_s,
+        mut waits,
+        busy_proc_s,
+        t_end,
+        derives,
+    } = tally;
     waits.sort_by(f64::total_cmp);
     let makespan_s = t_end.since(t0).as_secs_f64().max(1.0);
     ArmResult {
@@ -240,28 +255,27 @@ fn run_batched(
         if next >= stream.len() && broker.queued().is_empty() && completions.is_empty() {
             break;
         }
-        now = now + Duration::from_secs(QUANTUM_S);
+        now += Duration::from_secs(QUANTUM_S);
         assert!(
             now.since(t0).as_secs_f64() < 400.0 * 24.0 * 3600.0,
             "{arm}: stream did not drain within a virtual year"
         );
     }
-    let derives = obs.metrics.counter_value("loads_derive_total");
-    finish_arm(
-        arm,
-        stream.len(),
+    let tally = Tally {
         started,
         rejected,
         ticks,
-        tick_wall,
+        tick_wall_s: tick_wall,
         waits,
         busy_proc_s,
-        capacity,
-        t0,
         t_end,
-        derives,
-    )
+        derives: obs.metrics.counter_value("loads_derive_total"),
+    };
+    finish_arm(arm, stream.len(), tally, capacity, t0)
 }
+
+/// A running baseline job: end time, stream index, `(node, procs)` held.
+type BaselineRun = (SimTime, usize, Vec<(usize, u32)>);
 
 /// Replay a stream through a Slurm-shaped baseline: strict FIFO, head-only
 /// (no backfill), first-fit over ascending node ids, no load awareness.
@@ -278,8 +292,7 @@ fn run_slurm_baseline(arm: &'static str, stream: &[ArrivingJob], seed: u64) -> A
 
     let mut reserved = vec![0u32; n_nodes];
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut completions: BinaryHeap<std::cmp::Reverse<(SimTime, usize, Vec<(usize, u32)>)>> =
-        BinaryHeap::new();
+    let mut completions: BinaryHeap<std::cmp::Reverse<BaselineRun>> = BinaryHeap::new();
     let mut waits = Vec::new();
     let mut busy_proc_s = 0.0f64;
     let (mut started, mut ticks) = (0usize, 0u64);
@@ -337,26 +350,23 @@ fn run_slurm_baseline(arm: &'static str, stream: &[ArrivingJob], seed: u64) -> A
         if next >= stream.len() && queue.is_empty() && completions.is_empty() {
             break;
         }
-        now = now + Duration::from_secs(QUANTUM_S);
+        now += Duration::from_secs(QUANTUM_S);
         assert!(
             now.since(t0).as_secs_f64() < 400.0 * 24.0 * 3600.0,
             "{arm}: stream did not drain within a virtual year"
         );
     }
-    finish_arm(
-        arm,
-        stream.len(),
+    let tally = Tally {
         started,
-        0,
+        rejected: 0,
         ticks,
-        tick_wall,
+        tick_wall_s: tick_wall,
         waits,
         busy_proc_s,
-        capacity,
-        t0,
         t_end,
-        0,
-    )
+        derives: 0,
+    };
+    finish_arm(arm, stream.len(), tally, capacity, t0)
 }
 
 /// Effective process capacity of the warmed cluster under the paper's

@@ -8,6 +8,7 @@
 use crate::policies::{NetworkLoadAwarePolicy, Policy};
 use crate::request::{AllocError, Allocation, AllocationRequest};
 use nlrm_monitor::ClusterSnapshot;
+use nlrm_topology::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// Thresholds for the wait recommendation.
@@ -59,6 +60,19 @@ impl Advice {
     }
 }
 
+/// The §6 load rule's input: mean 1-minute CPU load per logical core over
+/// `nodes`. `Err(node)` names the first node with no sample in `snap`.
+pub fn load_per_core(snap: &ClusterSnapshot, nodes: &[NodeId]) -> Result<f64, NodeId> {
+    let mut load = 0.0;
+    let mut cores = 0.0;
+    for &u in nodes {
+        let info = snap.info(u).ok_or(u)?;
+        load += info.sample.cpu_load.m1;
+        cores += info.sample.spec.cores as f64;
+    }
+    Ok(if cores > 0.0 { load / cores } else { 0.0 })
+}
+
 /// Run the network-and-load-aware allocator, then judge whether even its
 /// best group is too loaded to be worth running on.
 pub fn advise(
@@ -68,17 +82,10 @@ pub fn advise(
 ) -> Result<Advice, AllocError> {
     let alloc = NetworkLoadAwarePolicy::new().allocate(snap, req)?;
 
-    // mean CPU load per logical core over the chosen group (1-min means)
-    let mut load = 0.0;
-    let mut cores = 0.0;
+    let selected = alloc.node_list();
+    let load_per_core = load_per_core(snap, &selected).expect("selected node has sample");
     let mut bw_frac_sum = 0.0;
     let mut bw_pairs = 0usize;
-    let selected = alloc.node_list();
-    for &u in &selected {
-        let info = snap.info(u).expect("selected node has sample");
-        load += info.sample.cpu_load.m1;
-        cores += info.sample.spec.cores as f64;
-    }
     for (i, &u) in selected.iter().enumerate() {
         for &v in &selected[i + 1..] {
             let peak = snap.peak_bandwidth_bps.get(u, v);
@@ -89,7 +96,6 @@ pub fn advise(
             }
         }
     }
-    let load_per_core = if cores > 0.0 { load / cores } else { 0.0 };
     let bw_frac = if bw_pairs > 0 {
         bw_frac_sum / bw_pairs as f64
     } else {

@@ -31,10 +31,10 @@
 //! left over once the head starts. Priority aging is the second backstop:
 //! every second of queue wait adds [`BrokerConfig::aging_rate`] points.
 
-use crate::candidate::generate_all_candidates;
+use crate::advisor::load_per_core;
 use crate::loads::Loads;
-use crate::request::{AllocError, Allocation, AllocationRequest, Diagnostics};
-use crate::select::{explain_selection, group_mean_network_load, select_best};
+use crate::request::{AllocError, Allocation, AllocationRequest};
+use crate::select::decide;
 use nlrm_monitor::ClusterSnapshot;
 use nlrm_obs::span::{SpanId, TraceId};
 use nlrm_sim_core::time::{Duration, SimTime};
@@ -43,9 +43,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Histogram bucket bounds (seconds) for job queue-wait time.
 const JOB_WAIT_BOUNDS: &[f64] = &[0.0, 10.0, 30.0, 60.0, 120.0, 300.0, 900.0, 3600.0];
-
-/// Top-k candidate groups kept in a decision's explain trace.
-const EXPLAIN_TOP_K: usize = 3;
 
 /// Broker-assigned job identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -1034,21 +1031,11 @@ impl Broker {
     /// Shrink a derivation's capacities by current reservations, dropping
     /// fully-booked nodes.
     fn restrict(&self, base: &Loads) -> Result<Loads, PlaceFailure> {
-        let mut usable = Vec::new();
-        let mut cl = Vec::new();
-        let mut pc = Vec::new();
-        for (i, &node) in base.usable.iter().enumerate() {
-            let free = base.pc[i].saturating_sub(self.reserved_on(node));
-            if free > 0 {
-                usable.push(node);
-                cl.push(base.cl[i]);
-                pc.push(free);
-            }
-        }
-        if usable.is_empty() {
+        let view = base.restrict(|node, pc| pc.saturating_sub(self.reserved_on(node)));
+        if view.usable.is_empty() {
             return Err(PlaceFailure::Capacity("all nodes fully reserved".into()));
         }
-        Ok(Loads::from_parts(usable, cl, base.nl.clone(), pc))
+        Ok(view)
     }
 
     /// Attempt to place one job (legacy path): derive fresh, then place.
@@ -1088,31 +1075,19 @@ impl Broker {
                 req.procs
             )));
         }
-        let candidates = generate_all_candidates(adjusted, req.procs, req.alpha, req.beta);
-        if candidates.is_empty() {
-            return Err(PlaceFailure::Capacity(
-                "no candidate group can host the request".into(),
-            ));
-        }
-        let selection = select_best(adjusted, &candidates, req.alpha, req.beta);
-        let winner = &candidates[selection.best];
+        let decision = decide(adjusted, req).map_err(|_| {
+            PlaceFailure::Capacity("no candidate group can host the request".into())
+        })?;
 
         // §6 deferral: is even the best group too loaded? A winner node
         // missing from the snapshot (its node-state record vanished after
         // the universe was derived) defers rather than panics.
         if let Some(limit) = self.config.max_load_per_core {
-            let mut load = 0.0;
-            let mut cores = 0.0;
-            for &node in &winner.nodes {
-                let Some(info) = snap.info(node) else {
-                    return Err(PlaceFailure::Advisory(format!(
-                        "node {node} has no sample in the snapshot (stale or partial view)"
-                    )));
-                };
-                load += info.sample.cpu_load.m1;
-                cores += info.sample.spec.cores as f64;
-            }
-            let per_core = if cores > 0.0 { load / cores } else { 0.0 };
+            let per_core = load_per_core(snap, &decision.winner().nodes).map_err(|node| {
+                PlaceFailure::Advisory(format!(
+                    "node {node} has no sample in the snapshot (stale or partial view)"
+                ))
+            })?;
             if per_core > limit {
                 return Err(PlaceFailure::Advisory(format!(
                     "cluster too loaded: best group at {per_core:.2} load/core (> {limit})"
@@ -1120,9 +1095,9 @@ impl Broker {
             }
         }
 
-        let selected = winner.nodes.clone();
-        let mean_cl =
-            selected.iter().map(|&u| adjusted.cl_of(u)).sum::<f64>() / selected.len() as f64;
+        let considered = decision.candidates.len();
+        let best_cost = decision.selection.best_cost;
+        let allocation = decision.into_allocation(adjusted, req, "network-load-aware/broker");
         if nlrm_obs::ctx::is_active() {
             let now = snap.taken_at;
             // instant marks: scoring and placement consume no virtual time
@@ -1136,8 +1111,8 @@ impl Broker {
                 now,
                 now,
                 vec![
-                    ("candidates".into(), candidates.len().to_string()),
-                    ("best_cost".into(), format!("{:.6}", selection.best_cost)),
+                    ("candidates".into(), considered.to_string()),
+                    ("best_cost".into(), format!("{best_cost:.6}")),
                     (
                         "snapshot_age_s".into(),
                         format!(
@@ -1147,7 +1122,11 @@ impl Broker {
                     ),
                 ],
             );
-            let node_list: Vec<String> = selected.iter().map(|n| n.to_string()).collect();
+            let node_list: Vec<String> = allocation
+                .node_list()
+                .iter()
+                .map(|n| n.to_string())
+                .collect();
             nlrm_obs::ctx::span_closed(
                 job.id.trace(),
                 job.root_span,
@@ -1157,7 +1136,10 @@ impl Broker {
                 now,
                 vec![
                     ("nodes".into(), node_list.join(",")),
-                    ("mean_compute_load".into(), format!("{mean_cl:.4}")),
+                    (
+                        "mean_compute_load".into(),
+                        format!("{:.4}", allocation.diagnostics.mean_compute_load),
+                    ),
                 ],
             );
         }
@@ -1166,24 +1148,7 @@ impl Broker {
             name: job.name.clone(),
             trace: job.id.trace(),
             root_span: job.root_span,
-            allocation: Allocation {
-                policy: "network-load-aware/broker".into(),
-                rank_map: Allocation::block_rank_map(&winner.assignment()),
-                nodes: winner.assignment(),
-                diagnostics: Diagnostics {
-                    total_cost: selection.best_cost,
-                    mean_compute_load: mean_cl,
-                    mean_network_load: group_mean_network_load(adjusted, &selected),
-                    explain: Some(explain_selection(
-                        &candidates,
-                        &selection,
-                        req.alpha,
-                        req.beta,
-                        EXPLAIN_TOP_K,
-                    )),
-                    candidate_costs: selection.costs,
-                },
-            },
+            allocation,
         })
     }
 }
@@ -1191,6 +1156,7 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Diagnostics;
     use nlrm_cluster::iitk::small_cluster;
     use nlrm_monitor::MonitorRuntime;
     use nlrm_obs::{install, Obs};
@@ -1279,6 +1245,31 @@ mod tests {
         // total reserved == 32
         let total: u32 = (0..8u32).map(|i| broker.reserved_on(NodeId(i))).sum();
         assert_eq!(total, 32);
+    }
+
+    #[test]
+    fn every_selection_records_its_decision_latency() {
+        // 32 capacity: two jobs reach selection, the third is turned away
+        // by the free-capacity check before Algorithm 1 runs
+        let snap = snapshot(8, 3);
+        let obs = Obs::new();
+        let _g = install(&obs);
+        let mut broker = Broker::new(no_defer());
+        for name in ["a", "b", "c"] {
+            broker.submit(name, req(16)).unwrap();
+        }
+        broker.tick(&snap);
+        assert_eq!(broker.running().len(), 2);
+        let decisions = obs
+            .metrics
+            .histogram_snapshot("alloc_decision_seconds")
+            .expect("decision latency recorded");
+        let selections = obs
+            .metrics
+            .histogram_snapshot("alloc_candidate_groups")
+            .unwrap();
+        assert_eq!(decisions.count(), 2);
+        assert_eq!(selections.count(), 2);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! exact Algorithms 1–2 run only on the nodes of the shortlisted groups.
 
 use crate::loads::Loads;
-use crate::policies::Policy;
-use crate::request::{AllocError, Allocation, AllocationRequest, Diagnostics};
-use crate::select::{explain_selection, group_mean_network_load, select_best};
+use crate::policies::{derive, NetworkLoadAwarePolicy, Policy};
+use crate::request::{AllocError, Allocation, AllocationRequest};
+use crate::select::{decide, group_mean_network_load};
 use nlrm_monitor::ClusterSnapshot;
 use nlrm_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
@@ -55,45 +55,20 @@ pub fn infer_groups(topo: &Topology, loads: &Loads) -> Vec<NodeGroup> {
         .collect()
 }
 
-/// Mean network load between two groups (aggregate inter-group statistic).
-pub fn inter_group_nl(loads: &Loads, a: &NodeGroup, b: &NodeGroup) -> f64 {
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for &u in &a.nodes {
-        for &v in &b.nodes {
-            sum += loads.nl_between(u, v);
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
-    }
-}
+/// Usable universes at most this large skip the group shortlist and run
+/// the plain (flat) algorithm.
+const FLAT_THRESHOLD: usize = 128;
 
 /// Two-level allocator: coarse group shortlist, then exact Algorithms 1–2
 /// on the shortlisted nodes only.
-#[derive(Debug, Clone)]
-pub struct ScalableAllocator {
-    /// Run the plain (flat) algorithm when the usable universe is at most
-    /// this large.
-    pub flat_threshold: usize,
-}
-
-impl Default for ScalableAllocator {
-    fn default() -> Self {
-        ScalableAllocator {
-            flat_threshold: 128,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct ScalableAllocator;
 
 impl ScalableAllocator {
-    /// An allocator that switches to two-level mode above the default
-    /// 128-node threshold.
+    /// An allocator that switches to two-level mode above a 128-node
+    /// usable universe.
     pub fn new() -> Self {
-        Self::default()
+        ScalableAllocator
     }
 
     /// Allocate with the two-level strategy. The topology is used only for
@@ -104,10 +79,10 @@ impl ScalableAllocator {
         snap: &ClusterSnapshot,
         req: &AllocationRequest,
     ) -> Result<Allocation, AllocError> {
-        req.validate()?;
-        let loads = Loads::derive(snap, &req.compute_weights, &req.network_weights, req.ppn)?;
-        if loads.usable.len() <= self.flat_threshold {
-            return crate::policies::NetworkLoadAwarePolicy::new().allocate(snap, req);
+        let loads = derive(snap, req)?;
+        if loads.usable.len() <= FLAT_THRESHOLD {
+            let policy = NetworkLoadAwarePolicy::new().name();
+            return Ok(decide(&loads, req)?.into_allocation(&loads, req, policy));
         }
 
         // --- coarse pass over groups ---
@@ -134,56 +109,22 @@ impl ScalableAllocator {
         shortlist.sort();
 
         // --- exact pass on the shortlist ---
-        let sub_loads = loads_restricted(&loads, &shortlist);
-        let candidates =
-            crate::candidate::generate_all_candidates(&sub_loads, req.procs, req.alpha, req.beta);
-        if candidates.is_empty() {
-            return Err(crate::request::AllocError::NoCapacity);
-        }
-        let selection = select_best(&sub_loads, &candidates, req.alpha, req.beta);
-        let winner = &candidates[selection.best];
-        let selected = winner.nodes.clone();
-        let mean_cl =
-            selected.iter().map(|&u| sub_loads.cl_of(u)).sum::<f64>() / selected.len() as f64;
-        Ok(Allocation {
-            policy: "network-load-aware/scalable".into(),
-            rank_map: Allocation::block_rank_map(&winner.assignment()),
-            nodes: winner.assignment(),
-            diagnostics: Diagnostics {
-                total_cost: selection.best_cost,
-                mean_compute_load: mean_cl,
-                mean_network_load: group_mean_network_load(&sub_loads, &selected),
-                explain: Some(explain_selection(
-                    &candidates,
-                    &selection,
-                    req.alpha,
-                    req.beta,
-                    3,
-                )),
-                candidate_costs: selection.costs,
-            },
-        })
+        let sub_loads = loads.restrict(|n, pc| {
+            if shortlist.binary_search(&n).is_ok() {
+                pc
+            } else {
+                0
+            }
+        });
+        let decision = decide(&sub_loads, req)?;
+        Ok(decision.into_allocation(&sub_loads, req, "network-load-aware/scalable"))
     }
-}
-
-/// Restrict a `Loads` to a subset of its usable nodes (network-load matrix
-/// is shared; per-node arrays are filtered).
-fn loads_restricted(loads: &Loads, subset: &[NodeId]) -> Loads {
-    let keep: Vec<usize> = subset
-        .iter()
-        .map(|&n| loads.index(n).expect("subset must be usable"))
-        .collect();
-    let usable: Vec<NodeId> = subset.to_vec();
-    let cl: Vec<f64> = keep.iter().map(|&i| loads.cl[i]).collect();
-    let pc: Vec<u32> = keep.iter().map(|&i| loads.pc[i]).collect();
-    Loads::from_parts(usable, cl, loads.nl.clone(), pc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::{NetworkLoadAwarePolicy, Policy};
-    use nlrm_cluster::iitk::{iitk_cluster, small_cluster};
+    use nlrm_cluster::iitk::iitk_cluster;
     use nlrm_cluster::{ClusterProfile, ClusterSim, NodeSpec};
     use nlrm_monitor::MonitorRuntime;
     use nlrm_sim_core::time::Duration;
@@ -230,19 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn small_cluster_uses_flat_path() {
-        let (topo, snap) = snapshot_of(small_cluster(8, 5));
-        let req = AllocationRequest::minimd(16);
-        let scalable = ScalableAllocator::new()
-            .allocate(&topo, &snap, &req)
-            .unwrap();
-        let flat = NetworkLoadAwarePolicy::new().allocate(&snap, &req).unwrap();
-        assert_eq!(scalable.nodes, flat.nodes);
-    }
-
-    #[test]
     fn two_level_handles_large_cluster() {
-        // 10 switches × 20 nodes = 200 > flat_threshold
+        // 10 switches × 20 nodes = 200 > FLAT_THRESHOLD
         let (topo, snap) = snapshot_of(big_cluster(20, 10, 11));
         let req = AllocationRequest::minimd(32);
         let alloc = ScalableAllocator::new()
@@ -251,22 +181,5 @@ mod tests {
         assert_eq!(alloc.total_procs(), 32);
         assert_eq!(alloc.node_list().len(), 8);
         assert!(alloc.policy.contains("scalable"));
-    }
-
-    #[test]
-    fn inter_group_nl_is_symmetric() {
-        let (topo, snap) = snapshot_of(iitk_cluster(3));
-        let loads = Loads::derive(
-            &snap,
-            &crate::weights::ComputeWeights::paper_default(),
-            &crate::weights::NetworkWeights::paper_default(),
-            Some(4),
-        )
-        .unwrap();
-        let groups = infer_groups(&topo, &loads);
-        let ab = inter_group_nl(&loads, &groups[0], &groups[1]);
-        let ba = inter_group_nl(&loads, &groups[1], &groups[0]);
-        assert!((ab - ba).abs() < 1e-12);
-        assert!(ab >= 0.0);
     }
 }

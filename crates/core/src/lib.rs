@@ -16,7 +16,7 @@
 //!    load `NL_(u,v)` (Eq. 2), and effective processor counts `pc_v` (Eq. 3).
 //! 4. [`candidate`] — Algorithm 1: greedy candidate sub-graph per start node.
 //! 5. [`select`] — Algorithm 2: total cost `T_G` (Eq. 4) and best-candidate
-//!    selection.
+//!    selection; [`select::decide`] is the one Algorithm 1 → 2 entry point.
 //! 6. [`policies`] — the four allocation policies compared in §5 (random,
 //!    sequential, load-aware, network-and-load-aware) plus a brute-force
 //!    optimum for validating the heuristic on small clusters.
@@ -27,6 +27,12 @@
 //!    algorithm scales past a few hundred nodes; [`slurm`] — the §6
 //!    integration path: the allocator behind a SLURM-select-plugin-shaped
 //!    interface.
+//!
+//! The network-and-load-aware policy, [`groups::ScalableAllocator`],
+//! [`slurm::NlrmSelect`] and [`broker::Broker`] are adapters over
+//! [`select::decide`]: derive a [`Loads`], narrow it with
+//! [`Loads::restrict`], decide, label. Only the bench-facing
+//! [`scalable::allocate_pruned`] ranks by a different (global) cost.
 
 pub mod advisor;
 pub mod broker;

@@ -393,9 +393,9 @@ impl Loads {
         Ok(Loads::from_parts(loads.usable, loads.cl, nl, loads.pc))
     }
 
-    /// Assemble a `Loads` from precomputed parts (used by the two-level
-    /// scalable allocator to restrict the universe to a shortlist, and by
-    /// the scale benches to synthesize tiered universes directly).
+    /// Assemble a `Loads` from precomputed parts (used by the derivations
+    /// and [`Loads::restrict`], and by tests and benches that synthesize
+    /// universes directly).
     pub fn from_parts(
         usable: Vec<NodeId>,
         cl: Vec<f64>,
@@ -416,6 +416,24 @@ impl Loads {
             c_all,
             n_all,
         }
+    }
+
+    /// A sub-universe: each usable node's capacity becomes `cap(node, pc)`
+    /// and nodes left with 0 capacity drop out. Usable order and the
+    /// network-load matrix are kept; the universe totals are recomputed.
+    pub fn restrict(&self, cap: impl Fn(NodeId, u32) -> u32) -> Loads {
+        let mut usable = Vec::new();
+        let mut cl = Vec::new();
+        let mut pc = Vec::new();
+        for ((&node, &load), &procs) in self.usable.iter().zip(&self.cl).zip(&self.pc) {
+            let left = cap(node, procs);
+            if left > 0 {
+                usable.push(node);
+                cl.push(load);
+                pc.push(left);
+            }
+        }
+        Loads::from_parts(usable, cl, self.nl.clone(), pc)
     }
 
     /// Convert the network-load representation to the tiered form using a
@@ -708,6 +726,36 @@ mod tests {
         assert_eq!(effective_pc(8, 8.5), 7);
         // 12-core node under load 3
         assert_eq!(effective_pc(12, 2.4), 9);
+    }
+
+    #[test]
+    fn restrict_drops_zero_capacity_nodes_and_keeps_order() {
+        let full = derive(&snapshot(8, 3));
+        // odd ids lose everything, even ids keep one process less
+        let sub = full.restrict(|n, pc| if n.0 % 2 == 1 { 0 } else { pc - 1 });
+        let kept: Vec<NodeId> = full
+            .usable
+            .iter()
+            .copied()
+            .filter(|n| n.0 % 2 == 0)
+            .collect();
+        assert_eq!(sub.usable, kept);
+        for &n in &sub.usable {
+            assert_eq!(sub.pc_of(n), full.pc_of(n) - 1);
+            assert_eq!(sub.cl_of(n), full.cl_of(n));
+        }
+        let rebuilt = Loads::from_parts(
+            kept.clone(),
+            kept.iter().map(|&n| full.cl_of(n)).collect(),
+            full.nl.clone(),
+            kept.iter().map(|&n| full.pc_of(n) - 1).collect(),
+        );
+        assert_eq!(sub.total_compute_load(), rebuilt.total_compute_load());
+        assert_eq!(sub.total_network_load(), rebuilt.total_network_load());
+        // the identity cap rebuilds the same universe
+        let same = full.restrict(|_, pc| pc);
+        assert_eq!(same.usable, full.usable);
+        assert_eq!(same.pc, full.pc);
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //!   Eq. 1 compute load, network ignored).
 //! * **network-and-load-aware** — the contribution: Algorithms 1 + 2.
 
-use crate::candidate::generate_all_candidates;
 use crate::loads::Loads;
 use crate::request::{AllocError, Allocation, AllocationRequest, Diagnostics};
-use crate::select::{explain_selection, group_cost, group_mean_network_load, select_best};
+use crate::select::{decide, group_cost, group_mean_network_load};
 use crate::weights::ComputeWeights;
 use nlrm_monitor::ClusterSnapshot;
 use nlrm_sim_core::rng::RngFactory;
@@ -64,7 +63,9 @@ fn pack(loads: &Loads, order: &[NodeId], n: u32) -> Vec<(NodeId, u32)> {
     nodes.into_iter().zip(procs).collect()
 }
 
-fn build_allocation(
+/// Assemble an [`Allocation`] for `assignment`: block rank map, and the
+/// group's mean compute and network load on top of `extra`.
+pub(crate) fn build_allocation(
     policy: &'static str,
     loads: &Loads,
     assignment: Vec<(NodeId, u32)>,
@@ -89,7 +90,8 @@ fn build_allocation(
     }
 }
 
-fn derive(snap: &ClusterSnapshot, req: &AllocationRequest) -> Result<Loads, AllocError> {
+/// Validate `req`, then derive its universe from `snap`.
+pub(crate) fn derive(snap: &ClusterSnapshot, req: &AllocationRequest) -> Result<Loads, AllocError> {
     req.validate()?;
     Loads::derive(snap, &req.compute_weights, &req.network_weights, req.ppn)
 }
@@ -256,31 +258,8 @@ impl Policy for NetworkLoadAwarePolicy {
         snap: &ClusterSnapshot,
         req: &AllocationRequest,
     ) -> Result<Allocation, AllocError> {
-        let started = std::time::Instant::now();
         let loads = derive(snap, req)?;
-        let candidates = generate_all_candidates(&loads, req.procs, req.alpha, req.beta);
-        if candidates.is_empty() {
-            return Err(AllocError::NoCapacity);
-        }
-        let selection = select_best(&loads, &candidates, req.alpha, req.beta);
-        let explain = explain_selection(&candidates, &selection, req.alpha, req.beta, 3);
-        let winner = &candidates[selection.best];
-        nlrm_obs::ctx::observe(
-            "alloc_decision_seconds",
-            crate::scalable::DECISION_SECONDS_BOUNDS,
-            started.elapsed().as_secs_f64(),
-        );
-        Ok(build_allocation(
-            "network-load-aware",
-            &loads,
-            winner.assignment(),
-            Diagnostics {
-                total_cost: selection.best_cost,
-                candidate_costs: selection.costs,
-                explain: Some(explain),
-                ..Diagnostics::default()
-            },
-        ))
+        Ok(decide(&loads, req)?.into_allocation(&loads, req, self.name()))
     }
 }
 
@@ -396,14 +375,6 @@ fn search(
         search(loads, universe, i + 1, k, alpha, beta, subset, best);
         subset.pop();
     }
-}
-
-/// Convenience: run the paper's allocator once with default construction.
-pub fn allocate_network_load_aware(
-    snap: &ClusterSnapshot,
-    req: &AllocationRequest,
-) -> Result<Allocation, AllocError> {
-    NetworkLoadAwarePolicy::new().allocate(snap, req)
 }
 
 #[cfg(test)]

@@ -3,16 +3,23 @@
 //! Each candidate's total compute load `C_G = Σ CL_u` and total network load
 //! `N_G = Σ NL over sub-graph edges` are normalized by the respective sums
 //! over all candidates, then combined as `T_G = α·C_norm + β·N_norm`; the
-//! minimum wins.
+//! minimum wins. [`decide`] runs Algorithm 1 then Algorithm 2: the one
+//! decision path every allocator front end shares.
 
-use crate::candidate::Candidate;
+use crate::candidate::{generate_all_candidates, generate_candidate, Candidate};
 use crate::loads::Loads;
 use crate::par;
+use crate::policies::build_allocation;
+use crate::request::{AllocError, Allocation, AllocationRequest, Diagnostics};
+use crate::scalable::DECISION_SECONDS_BOUNDS;
 use nlrm_obs::{ExplainTrace, GroupExplain};
 use nlrm_topology::NodeId;
 
 /// Histogram bucket bounds for candidate-set size.
 const CANDIDATE_COUNT_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+
+/// Top-k candidate groups kept in a decision's explain trace.
+const EXPLAIN_TOP_K: usize = 3;
 
 /// Total compute load of a group: `C_G = Σ_{u ∈ G} CL_u`.
 pub fn group_compute_load(loads: &Loads, nodes: &[NodeId]) -> f64 {
@@ -204,6 +211,104 @@ pub fn explain_selection(
         margin,
         verdict,
     }
+}
+
+/// One Eq. 4 decision: Algorithm 1's candidate set and Algorithm 2's
+/// selection over it.
+#[derive(Debug, Clone)]
+pub struct Decision {
+    /// Every candidate that can host the request, in generation order.
+    pub candidates: Vec<Candidate>,
+    /// Algorithm 2's verdict over `candidates`.
+    pub selection: Selection,
+}
+
+impl Decision {
+    /// The winning candidate.
+    pub fn winner(&self) -> &Candidate {
+        &self.candidates[self.selection.best]
+    }
+
+    /// The winner as an [`Allocation`] labelled `policy`, with the Eq. 4
+    /// cost table and explain trace in its diagnostics. `loads` must be the
+    /// universe the decision was made on.
+    pub fn into_allocation(
+        self,
+        loads: &Loads,
+        req: &AllocationRequest,
+        policy: &'static str,
+    ) -> Allocation {
+        let explain = explain_selection(
+            &self.candidates,
+            &self.selection,
+            req.alpha,
+            req.beta,
+            EXPLAIN_TOP_K,
+        );
+        build_allocation(
+            policy,
+            loads,
+            self.winner().assignment(),
+            Diagnostics {
+                total_cost: self.selection.best_cost,
+                candidate_costs: self.selection.costs,
+                explain: Some(explain),
+                ..Diagnostics::default()
+            },
+        )
+    }
+}
+
+/// Algorithms 1 + 2 over the whole usable universe: one candidate per
+/// start node, Eq. 4 picks the winner. [`AllocError::NoCapacity`] when no
+/// candidate can host `req.procs`.
+pub fn decide(loads: &Loads, req: &AllocationRequest) -> Result<Decision, AllocError> {
+    timed_decision(loads, req, || {
+        generate_all_candidates(loads, req.procs, req.alpha, req.beta)
+    })
+}
+
+/// [`decide`] with Algorithm 1 grown only from the given usable start
+/// nodes (the SLURM plugin pins starts to the job's required hosts).
+/// Candidates that cannot host `req.procs` never reach selection.
+pub fn decide_among(
+    loads: &Loads,
+    req: &AllocationRequest,
+    starts: &[NodeId],
+) -> Result<Decision, AllocError> {
+    timed_decision(loads, req, || {
+        starts
+            .iter()
+            .map(|&v| generate_candidate(loads, v, req.procs, req.alpha, req.beta))
+            .filter(|c| c.total_procs() as u64 >= req.procs as u64)
+            .collect()
+    })
+}
+
+/// Generate, select, and record the wall time of both stages in the
+/// `alloc_decision_seconds` histogram.
+fn timed_decision(
+    loads: &Loads,
+    req: &AllocationRequest,
+    generate: impl FnOnce() -> Vec<Candidate>,
+) -> Result<Decision, AllocError> {
+    let started = std::time::Instant::now();
+    let candidates = generate();
+    let decision = if candidates.is_empty() {
+        Err(AllocError::NoCapacity)
+    } else {
+        let selection = select_best(loads, &candidates, req.alpha, req.beta);
+        Ok(Decision {
+            candidates,
+            selection,
+        })
+    };
+    nlrm_obs::ctx::observe(
+        "alloc_decision_seconds",
+        DECISION_SECONDS_BOUNDS,
+        started.elapsed().as_secs_f64(),
+    );
+    decision
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 
 use crate::loads::Loads;
 use crate::request::{AllocError, Allocation, AllocationRequest};
-use crate::select::{explain_selection, group_mean_network_load, select_best};
+use crate::select::{decide, decide_among};
 use nlrm_monitor::ClusterSnapshot;
 use nlrm_topology::NodeId;
 
@@ -170,47 +170,25 @@ impl SelectPlugin for NlrmSelect {
         }
 
         // restrict the universe to the bitmap minus exclusions
-        let loads = Loads::derive(snap, &req.compute_weights, &req.network_weights, req.ppn)?;
-        let mut usable = Vec::new();
-        let mut cl = Vec::new();
-        let mut pc = Vec::new();
-        for (i, &node) in loads.usable.iter().enumerate() {
-            if avail.contains(node) && !excluded.contains(&node) {
-                usable.push(node);
-                cl.push(loads.cl[i]);
-                pc.push(loads.pc[i]);
-            }
-        }
-        if usable.is_empty() {
+        let restricted = Loads::derive(snap, &req.compute_weights, &req.network_weights, req.ppn)?
+            .restrict(|node, pc| {
+                if avail.contains(node) && !excluded.contains(&node) {
+                    pc
+                } else {
+                    0
+                }
+            });
+        if restricted.usable.is_empty() {
             return Err(AllocError::NoUsableNodes);
         }
-        let restricted = Loads::from_parts(usable, cl, loads.nl.clone(), pc);
 
         // candidate search; required hosts pin the start nodes
-        let candidates: Vec<_> = if required.is_empty() {
-            crate::candidate::generate_all_candidates(&restricted, req.procs, req.alpha, req.beta)
+        let decision = if required.is_empty() {
+            decide(&restricted, &req)?
         } else {
-            required
-                .iter()
-                .map(|&r| {
-                    crate::candidate::generate_candidate(
-                        &restricted,
-                        r,
-                        req.procs,
-                        req.alpha,
-                        req.beta,
-                    )
-                })
-                // a pinned start on a zero-capacity universe yields a
-                // candidate that places nothing; it must not reach selection
-                .filter(|c| c.total_procs() as u64 >= req.procs as u64)
-                .collect()
+            decide_among(&restricted, &req, &required)?
         };
-        if candidates.is_empty() {
-            return Err(AllocError::NoCapacity);
-        }
-        let selection = select_best(&restricted, &candidates, req.alpha, req.beta);
-        let winner = &candidates[selection.best];
+        let winner = decision.winner();
 
         // node-count window (SLURM's --nodes=<min>-<max>)
         let n_nodes = winner.nodes.len() as u32;
@@ -240,27 +218,8 @@ impl SelectPlugin for NlrmSelect {
         for &n in &winner.nodes {
             bitmap.set(n, true);
         }
-        let selected = winner.nodes.clone();
-        let mean_cl =
-            selected.iter().map(|&u| restricted.cl_of(u)).sum::<f64>() / selected.len() as f64;
-        let allocation = Allocation {
-            policy: "network-load-aware/select-plugin".into(),
-            rank_map: Allocation::block_rank_map(&winner.assignment()),
-            nodes: winner.assignment(),
-            diagnostics: crate::request::Diagnostics {
-                total_cost: selection.best_cost,
-                mean_compute_load: mean_cl,
-                mean_network_load: group_mean_network_load(&restricted, &selected),
-                explain: Some(explain_selection(
-                    &candidates,
-                    &selection,
-                    req.alpha,
-                    req.beta,
-                    3,
-                )),
-                candidate_costs: selection.costs,
-            },
-        };
+        let allocation =
+            decision.into_allocation(&restricted, &req, "network-load-aware/select-plugin");
         Ok((bitmap, allocation))
     }
 }
@@ -268,7 +227,6 @@ impl SelectPlugin for NlrmSelect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::{NetworkLoadAwarePolicy, Policy};
     use nlrm_cluster::iitk::small_cluster;
     use nlrm_monitor::MonitorRuntime;
     use nlrm_sim_core::time::Duration;
@@ -278,23 +236,6 @@ mod tests {
         let mut rt = MonitorRuntime::new(&cluster);
         rt.warm_snapshot(&mut cluster, Duration::from_secs(360))
             .unwrap()
-    }
-
-    #[test]
-    fn plain_job_matches_the_native_allocator() {
-        let snap = snapshot(8, 3);
-        let job = JobDescriptor::tasks(16, 4);
-        let (bitmap, alloc) = NlrmSelect::new()
-            .select_nodes(&job, &NodeBitmap::all(8), &snap)
-            .unwrap();
-        let native = NetworkLoadAwarePolicy::new()
-            .allocate(&snap, &AllocationRequest::new(16, Some(4), 0.3, 0.7))
-            .unwrap();
-        assert_eq!(alloc.nodes, native.nodes);
-        assert_eq!(bitmap.count(), 4);
-        for n in alloc.node_list() {
-            assert!(bitmap.contains(n));
-        }
     }
 
     #[test]

@@ -314,7 +314,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for v in [1.0, 2.0, 50.0, 3.0] {
             m.set("g", v);
-            t = t + Duration::from_secs(30);
+            t += Duration::from_secs(30);
             tr.evaluate(t, &m);
         }
         let s = &tr.latest()[0];
@@ -334,7 +334,7 @@ mod tests {
         // bad, bad (still one excursion), good+good (recover), bad (new one)
         for v in [50.0, 50.0, 1.0, 1.0, 50.0] {
             m.set("g", v);
-            t = t + Duration::from_secs(30);
+            t += Duration::from_secs(30);
             edges += tr.evaluate(t, &m).len();
         }
         assert_eq!(edges, 2);

@@ -160,6 +160,31 @@ assert bench["pass"], f"incident gate failed: {bench}"
 PY
 test -s "$OBS_DIR/incident_report.md"
 
+# placement pin: the seed-1 placement digest of every perfbench workload
+# must stay the one recorded below, so any change to where jobs land
+# fails here (the digest does not depend on --seconds, so zero-second
+# runs suffice), and every checked pass must be correct
+for pin in iitk-trials:0x82cde29bcf0af299 campus-1k:0xf7518e28e542ead8 \
+    broker-stream:0x277a0dc8e37c8be5; do
+    workload="${pin%%:*}"
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 \
+        > "$OBS_DIR/perfbench-$workload.txt"
+    python3 - "$OBS_DIR/perfbench-$workload.txt" "$workload" "${pin#*:}" <<'PY'
+import json, re, sys
+path, workload, want = sys.argv[1:]
+with open(path) as f:
+    text = f.read()
+m = re.search(r"^# virtual digest=(0x[0-9a-f]+)", text, re.M)
+assert m, f"{workload}: no placement digest in the report"
+assert m.group(1) == want, f"{workload}: placement digest {m.group(1)}, want {want}"
+result = json.loads(text.strip().splitlines()[-1])
+assert result["correct"] and result["failed"] == 0, f"{workload}: {result}"
+PY
+done
+# perfbench's own tests: percentile helpers and same-seed replay across
+# NLRM_THREADS=1/2 for every workload
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 # rustdoc for the observability and monitoring crates is part of their
 # API contract
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p nlrm-obs -p nlrm-monitor

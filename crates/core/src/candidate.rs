@@ -14,7 +14,10 @@
 //!
 //! * [`generate_candidate`] heapifies the addition costs in O(V) and pops
 //!   only until `n` processes are covered — a bounded partial selection,
-//!   O(V + k log V) per start node.
+//!   O(V + k log V) per start node. On a dense network load the costs are
+//!   one pass over the start node's contiguous matrix row and the
+//!   positional `cl`/`pc` arrays, and each heap entry carries its node's
+//!   `pc`, so neither building nor popping looks a node up by id.
 //! * On a tiered network-load representation
 //!   ([`TieredNl`](crate::tiered::TieredNl)), [`generate_all_candidates`]
 //!   exploits that every node of a foreign switch shares the same
@@ -32,7 +35,7 @@
 
 use crate::loads::Loads;
 use crate::par;
-use crate::tiered::TieredNl;
+use crate::tiered::{NlRep, TieredNl};
 use nlrm_topology::NodeId;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -67,10 +70,17 @@ impl Candidate {
 
 /// A `(cost, node)` entry ordered ascending by cost, ties by node id — the
 /// total order Algorithm 1's sort used, so heap pops reproduce it exactly.
-#[derive(PartialEq)]
+/// Carries the node's `pc` so a pop needs no lookup.
 struct CostEntry {
     cost: f64,
     node: NodeId,
+    pc: u32,
+}
+
+impl PartialEq for CostEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
 }
 
 impl Eq for CostEntry {}
@@ -161,25 +171,37 @@ impl GreedyTake {
 /// candidate generation is deterministic. Internally a bounded partial
 /// selection: the addition costs are heapified in O(V) and popped only
 /// until `n` processes are covered, instead of fully sorting all V costs.
+/// The usable arrays are walked by position, and a dense network load is
+/// read from the start node's matrix row.
 pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f64) -> Candidate {
     debug_assert!(loads.index(v).is_some(), "start node must be usable");
+    let dense_row = match &loads.nl {
+        NlRep::Dense(m) => Some(m.row(v)),
+        _ => None,
+    };
     // addition cost per usable node; A_v(v) = 0 so v always joins first
     let entries: Vec<Reverse<CostEntry>> = loads
         .usable
         .iter()
-        .map(|&u| {
+        .zip(&loads.cl)
+        .zip(&loads.pc)
+        .map(|((&u, &cl), &pc)| {
             let cost = if u == v {
                 0.0
             } else {
-                alpha * loads.cl_of(u) + beta * loads.nl_between(v, u)
+                let nl = match dense_row {
+                    Some(row) => row[u.index()],
+                    None => loads.nl.get(v, u),
+                };
+                alpha * cl + beta * nl
             };
-            Reverse(CostEntry { cost, node: u })
+            Reverse(CostEntry { cost, node: u, pc })
         })
         .collect();
     let mut heap = BinaryHeap::from(entries);
     let mut take = GreedyTake::new(n);
     while let Some(Reverse(e)) = heap.pop() {
-        if !take.offer(e.node, loads.pc_of(e.node)) {
+        if !take.offer(e.node, e.pc) {
             break;
         }
     }
@@ -588,12 +610,30 @@ mod tests {
 
     #[test]
     fn heap_path_matches_full_sort_reference() {
+        let mut universes = Vec::new();
         for seed in [3, 5, 9, 11] {
-            let l = loads(10, seed, Some(4));
+            universes.push((seed, loads(10, seed, Some(4))));
+            // without ppn, pc follows each node's load and is non-uniform;
+            // dropping every third node leaves positions ≠ ids, and zeroing
+            // some capacities leaves nodes that cannot host a process
+            let sub =
+                loads(12, seed, None).restrict(|node, pc| if node.0 % 3 == 1 { 0 } else { pc });
+            assert!(sub.usable.iter().enumerate().any(|(i, n)| n.index() != i));
+            let pc = sub
+                .pc
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| if i % 4 == 2 { 0 } else { p })
+                .collect();
+            let zeroed = Loads::from_parts(sub.usable.clone(), sub.cl.clone(), sub.nl.clone(), pc);
+            universes.push((seed, sub));
+            universes.push((seed, zeroed));
+        }
+        for (seed, l) in &universes {
             for &v in &l.usable {
                 for n in [1, 7, 16, 40, 100] {
-                    let heap = generate_candidate(&l, v, n, 0.3, 0.7);
-                    let reference = generate_candidate_reference(&l, v, n, 0.3, 0.7);
+                    let heap = generate_candidate(l, v, n, 0.3, 0.7);
+                    let reference = generate_candidate_reference(l, v, n, 0.3, 0.7);
                     assert_eq!(heap, reference, "seed {seed} start {v} n {n}");
                 }
             }

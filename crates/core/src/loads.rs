@@ -4,13 +4,14 @@
 
 use crate::request::AllocError;
 use crate::saw::{saw_scores, Column, Criterion};
+use crate::scalable::DECISION_SECONDS_BOUNDS;
 use crate::tiered::{EstimatedNl, TieredNl};
 use crate::weights::{ComputeWeights, NetworkWeights};
 use nlrm_monitor::{ClusterSnapshot, InterEstimate, SymMatrix};
 use nlrm_sim_core::time::Duration;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::{NodeId, SwitchIndex};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 pub use crate::tiered::NlRep;
 
@@ -81,13 +82,36 @@ pub struct Loads {
     pub nl: NlRep,
     /// Effective processor count per usable node (parallel to `usable`).
     pub pc: Vec<u32>,
-    index_of: HashMap<NodeId, usize>,
+    /// Position in `usable` per node id (dense over the id space,
+    /// [`NOT_USABLE`] for ids outside the universe).
+    pos: Vec<u32>,
     /// Σ CL over the usable universe, cached at construction so per-group
     /// scoring doesn't re-walk the whole universe.
     c_all: f64,
     /// Σ NL over all usable pairs, cached at construction (recomputing it
     /// per `group_cost` call was O(V²) each time).
     n_all: f64,
+}
+
+/// [`Loads::pos`] entry of a node id outside the usable universe.
+const NOT_USABLE: u32 = u32::MAX;
+
+/// Node id → position in `usable`, dense over the id space.
+fn positions(usable: &[NodeId]) -> Vec<u32> {
+    let len = usable.iter().map(|n| n.index() + 1).max().unwrap_or(0);
+    let mut pos = vec![NOT_USABLE; len];
+    for (i, &n) in usable.iter().enumerate() {
+        pos[n.index()] = i as u32;
+    }
+    pos
+}
+
+/// Look `node` up in a [`positions`] map.
+fn position(pos: &[u32], node: NodeId) -> Option<usize> {
+    match pos.get(node.index()) {
+        Some(&p) if p != NOT_USABLE => Some(p as usize),
+        _ => None,
+    }
 }
 
 /// Histogram bucket bounds (seconds) for snapshot sample age.
@@ -152,6 +176,7 @@ impl Loads {
             .validate()
             .map_err(AllocError::InvalidRequest)?;
         policy.validate()?;
+        let started = nlrm_obs::ctx::is_active().then(std::time::Instant::now);
         // counted so schedulers can prove how often they pay for the
         // O(V²) matrix build (the broker's batched-cycle test relies on it)
         nlrm_obs::ctx::inc("loads_derive_total");
@@ -277,9 +302,6 @@ impl Loads {
         ];
         let mut cl = saw_scores(&columns);
 
-        // --- Eq. 2: pairwise network load ---
-        let (mut nl, mut norm) = derive_network_load(snap, &usable, network_weights, policy);
-
         // Rescale both loads to mean 1 over their own domains. Sum
         // normalization alone leaves CL ~ 1/V and NL ~ 1/V², so in
         // `A_v(u) = α·CL(u) + β·NL(v,u)` (Algorithm 1) the network term
@@ -288,26 +310,10 @@ impl Loads {
         // (Algorithm 2, group_cost, load-aware ordering) but makes the
         // candidate-generation trade-off mean what the paper's α/β say.
         rescale_to_unit_mean(&mut cl);
-        let mut pair_vals: Vec<f64> = Vec::new();
-        for (i, &u) in usable.iter().enumerate() {
-            for &v in &usable[i + 1..] {
-                pair_vals.push(nl.get(u, v));
-            }
-        }
-        let pair_mean = if pair_vals.is_empty() {
-            0.0
-        } else {
-            pair_vals.iter().sum::<f64>() / pair_vals.len() as f64
-        };
-        if pair_mean > 0.0 {
-            for (i, &u) in usable.iter().enumerate() {
-                for &v in usable[i + 1..].iter() {
-                    let scaled = nl.get(u, v) / pair_mean;
-                    nl.set(u, v, scaled);
-                }
-            }
-        }
-        norm.pair_mean = pair_mean;
+
+        // --- Eq. 2: pairwise network load, rescaled the same way ---
+        let pos = positions(&usable);
+        let (nl, norm, n_all) = derive_network_load(snap, &usable, &pos, network_weights, policy);
 
         // --- Eq. 3: effective processor count ---
         let pc: Vec<u32> = infos
@@ -318,16 +324,21 @@ impl Loads {
             })
             .collect();
 
-        let nl = NlRep::Dense(nl);
-        let index_of = usable.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let (c_all, n_all) = universe_totals(&usable, &cl, &nl);
+        let c_all = cl.iter().sum();
+        if let Some(started) = started {
+            nlrm_obs::ctx::observe(
+                "loads_derive_wall_seconds",
+                DECISION_SECONDS_BOUNDS,
+                started.elapsed().as_secs_f64(),
+            );
+        }
         Ok((
             Loads {
                 usable,
                 cl,
-                nl,
+                nl: NlRep::Dense(Arc::new(nl)),
                 pc,
-                index_of,
+                pos,
                 c_all,
                 n_all,
             },
@@ -365,30 +376,7 @@ impl Loads {
             _ => unreachable!("derive_core always builds a dense matrix"),
         };
         let point = TieredNl::from_dense(dense, &loads.usable, index);
-        let s_count = index.num_switches();
-        let mut inter_lo = vec![0.0f64; s_count * s_count];
-        let mut inter_hi = vec![f64::INFINITY; s_count * s_count];
-        for s in 0..s_count {
-            let k_diag = s * s_count + s;
-            inter_lo[k_diag] = 0.0;
-            inter_hi[k_diag] = 0.0;
-            for t in (s + 1)..s_count {
-                let (su, tu) = (s as u32, t as u32);
-                if !est.covers(su) || !est.covers(tu) {
-                    continue; // vacuous [0, ∞) band
-                }
-                let (lat, cbw) = match (est.latency_s(su, tu), est.cbw_bps(su, tu)) {
-                    (Some(l), Some(c)) => (l, c),
-                    _ => continue,
-                };
-                let lo = norm.map(network_weights, lat.lo, cbw.lo);
-                let hi = norm.map(network_weights, lat.hi, cbw.hi);
-                inter_lo[s * s_count + t] = lo;
-                inter_lo[t * s_count + s] = lo;
-                inter_hi[s * s_count + t] = hi;
-                inter_hi[t * s_count + s] = hi;
-            }
-        }
+        let (inter_lo, inter_hi) = inter_bands(est, index.num_switches(), &norm, network_weights);
         let nl = NlRep::Estimated(EstimatedNl::new(point, inter_lo, inter_hi));
         Ok(Loads::from_parts(loads.usable, loads.cl, nl, loads.pc))
     }
@@ -405,14 +393,14 @@ impl Loads {
         assert_eq!(usable.len(), cl.len());
         assert_eq!(usable.len(), pc.len());
         let nl = nl.into();
-        let index_of = usable.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        let pos = positions(&usable);
         let (c_all, n_all) = universe_totals(&usable, &cl, &nl);
         Loads {
             usable,
             cl,
             nl,
             pc,
-            index_of,
+            pos,
             c_all,
             n_all,
         }
@@ -420,7 +408,10 @@ impl Loads {
 
     /// A sub-universe: each usable node's capacity becomes `cap(node, pc)`
     /// and nodes left with 0 capacity drop out. Usable order and the
-    /// network-load matrix are kept; the universe totals are recomputed.
+    /// network-load representation are kept (a dense matrix is shared, not
+    /// copied). The universe totals are recomputed when a node drops out,
+    /// and reused when none does, since they are sums over the same nodes
+    /// in the same order.
     pub fn restrict(&self, cap: impl Fn(NodeId, u32) -> u32) -> Loads {
         let mut usable = Vec::new();
         let mut cl = Vec::new();
@@ -433,7 +424,18 @@ impl Loads {
                 pc.push(left);
             }
         }
-        Loads::from_parts(usable, cl, self.nl.clone(), pc)
+        if usable.len() < self.usable.len() {
+            return Loads::from_parts(usable, cl, self.nl.clone(), pc);
+        }
+        Loads {
+            usable,
+            cl,
+            nl: self.nl.clone(),
+            pc,
+            pos: self.pos.clone(),
+            c_all: self.c_all,
+            n_all: self.n_all,
+        }
     }
 
     /// Convert the network-load representation to the tiered form using a
@@ -451,12 +453,18 @@ impl Loads {
 
     /// Index of `node` in the usable arrays.
     pub fn index(&self, node: NodeId) -> Option<usize> {
-        self.index_of.get(&node).copied()
+        position(&self.pos, node)
+    }
+
+    /// Index of a node that must be usable.
+    fn usable_index(&self, node: NodeId) -> usize {
+        self.index(node)
+            .unwrap_or_else(|| panic!("node {node} is not in the usable universe"))
     }
 
     /// Compute load of a usable node.
     pub fn cl_of(&self, node: NodeId) -> f64 {
-        self.cl[self.index_of[&node]]
+        self.cl[self.usable_index(node)]
     }
 
     /// Network load between two usable nodes (0 for `u == v`).
@@ -470,7 +478,7 @@ impl Loads {
 
     /// Effective processor count of a usable node.
     pub fn pc_of(&self, node: NodeId) -> u32 {
-        self.pc[self.index_of[&node]]
+        self.pc[self.usable_index(node)]
     }
 
     /// Total processes the usable universe can host.
@@ -505,6 +513,42 @@ fn rescale_to_unit_mean(values: &mut [f64]) {
             *v /= mean;
         }
     }
+}
+
+/// The estimator's raw `[lo, hi]` bands per switch pair (`S×S`
+/// row-major), mapped through `norm` onto the NL scale. Switch pairs the
+/// estimate does not cover get the vacuous band `[0, ∞)`; the diagonal is
+/// `[0, 0]`.
+fn inter_bands(
+    est: &InterEstimate,
+    s_count: usize,
+    norm: &NlNorm,
+    weights: &NetworkWeights,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut inter_lo = vec![0.0f64; s_count * s_count];
+    let mut inter_hi = vec![f64::INFINITY; s_count * s_count];
+    for s in 0..s_count {
+        let k_diag = s * s_count + s;
+        inter_lo[k_diag] = 0.0;
+        inter_hi[k_diag] = 0.0;
+        for t in (s + 1)..s_count {
+            let (su, tu) = (s as u32, t as u32);
+            if !est.covers(su) || !est.covers(tu) {
+                continue; // vacuous [0, ∞) band
+            }
+            let (lat, cbw) = match (est.latency_s(su, tu), est.cbw_bps(su, tu)) {
+                (Some(l), Some(c)) => (l, c),
+                _ => continue,
+            };
+            let lo = norm.map(weights, lat.lo, cbw.lo);
+            let hi = norm.map(weights, lat.hi, cbw.hi);
+            inter_lo[s * s_count + t] = lo;
+            inter_lo[t * s_count + s] = lo;
+            inter_hi[s * s_count + t] = hi;
+            inter_hi[t * s_count + s] = hi;
+        }
+    }
+    (inter_lo, inter_hi)
 }
 
 /// Eq. 3: `pc_v = coreCount_v − ⌈Load_v⌉ % coreCount_v`, using the 1-minute
@@ -551,112 +595,114 @@ impl NlNorm {
     }
 }
 
-/// Eq. 2 over all usable pairs: normalized latency and normalized complement
-/// of available bandwidth, combined with `w_lt`/`w_bw`. Pairs whose backing
-/// rows have aged past `policy.max_pair_age` are blended toward the
-/// unmeasured penalty, so fresh < stale < unmeasured in each column.
-/// Also returns the [`NlNorm`] scales the normalization applied (with
-/// `pair_mean` left at 0 for the caller to fill in).
+/// Eq. 2 over all usable pairs, rescaled to unit mean: normalized latency
+/// and normalized complement of available bandwidth, combined with
+/// `w_lt`/`w_bw`, then divided by their mean over the usable pairs. Pairs
+/// whose backing rows have aged past `policy.max_pair_age` are blended
+/// toward the unmeasured penalty, so fresh < stale < unmeasured in each
+/// column. Returns the matrix (0 outside the usable pairs), the
+/// [`NlNorm`] that maps raw pair metrics onto it, and Σ NL over the usable
+/// pairs.
+///
+/// Four passes walk the pairs in `i < j` order: raw columns and their
+/// finite maxima; penalty and stale blend, plus the column sums; normalize
+/// and combine, plus the pair sum; divide by the pair mean, plus Σ NL.
+/// Each value goes through the same float operations, and each sum adds
+/// the same values in the same order, as computing one whole column at a
+/// time would, so the result is bit-for-bit that of the column-wise
+/// formulation. The matrix is then written once, row by row.
 fn derive_network_load(
     snap: &ClusterSnapshot,
     usable: &[NodeId],
+    pos: &[u32],
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
-) -> (SymMatrix<f64>, NlNorm) {
+) -> (SymMatrix<f64>, NlNorm, f64) {
     let n = snap.latency.len();
-    let mut out = SymMatrix::new(n, 0.0);
+    let m = usable.len();
+    let pair_count = m * m.saturating_sub(1) / 2;
     let mut norm = NlNorm {
         lat_scale: 0.0,
         cbw_scale: 0.0,
         pair_mean: 0.0,
     };
-    let pairs: Vec<(NodeId, NodeId)> = usable
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| (u, v)))
-        .collect();
-    if pairs.is_empty() {
-        return (out, norm);
+    if pair_count == 0 {
+        return (SymMatrix::new(n, 0.0), norm, 0.0);
     }
 
-    // Latency column: prefer the 1-minute mean, fall back to the instant.
-    let mut lat: Vec<f64> = pairs
-        .iter()
-        .map(|&(u, v)| {
-            let st = snap.latency.get(u, v);
-            if st.m1.is_finite() {
-                st.m1
-            } else {
-                st.instant
-            }
-        })
-        .collect();
-    // Unmeasured pairs (∞) are clamped to a strong finite penalty so
-    // normalization stays meaningful: 10× the worst measured latency.
-    let max_finite = lat
-        .iter()
-        .cloned()
-        .filter(|l| l.is_finite())
-        .fold(0.0f64, f64::max);
-    let penalty = if max_finite > 0.0 {
-        max_finite * 10.0
-    } else {
-        1.0
+    // A pair's value is as fresh as the newer of its endpoints' rows (the
+    // row read last overwrote it), so a pair is stale exactly when neither
+    // endpoint's row is fresh.
+    let fresh = |row_age: &[Option<Duration>]| -> Vec<bool> {
+        usable
+            .iter()
+            .map(|u| row_age[u.index()].is_some_and(|a| a <= policy.max_pair_age))
+            .collect()
     };
-    let mut blended = vec![false; pairs.len()];
-    for (k, l) in lat.iter_mut().enumerate() {
-        if !l.is_finite() {
-            *l = penalty;
-        } else {
-            let (u, v) = pairs[k];
-            let stale = snap
-                .latency_age(u, v)
-                .is_none_or(|a| a > policy.max_pair_age);
-            if stale {
-                *l += policy.stale_blend * (penalty - *l).max(0.0);
-                blended[k] = true;
+    let lat_fresh = fresh(&snap.latency_row_age);
+    let bw_fresh = fresh(&snap.bandwidth_row_age);
+
+    // pass 1: raw columns and their largest finite values
+    let mut lat: Vec<f64> = Vec::with_capacity(pair_count);
+    let mut cbw: Vec<f64> = Vec::with_capacity(pair_count);
+    let (mut max_lat, mut max_cbw) = (0.0f64, 0.0f64);
+    for (i, &u) in usable.iter().enumerate() {
+        let lat_row = snap.latency.row(u);
+        let avail_row = snap.bandwidth_bps.row(u);
+        let peak_row = snap.peak_bandwidth_bps.row(u);
+        for &v in &usable[i + 1..] {
+            // latency: prefer the 1-minute mean, fall back to the instant
+            let st = lat_row[v.index()];
+            let l = if st.m1.is_finite() { st.m1 } else { st.instant };
+            if l.is_finite() {
+                max_lat = max_lat.max(l);
             }
+            lat.push(l);
+            // complement of available bandwidth: peak − available. A pair
+            // never measured is ∞ here and penalized relative to the
+            // measured pairs below (an absolute sentinel in bps can rank
+            // *better* than a congested measured pair on fast links).
+            let peak = peak_row[v.index()];
+            let c = if !peak.is_finite() || peak <= 0.0 {
+                f64::INFINITY
+            } else {
+                (peak - avail_row[v.index()]).max(0.0)
+            };
+            if c.is_finite() {
+                max_cbw = max_cbw.max(c);
+            }
+            cbw.push(c);
         }
     }
 
-    // Complement-of-available-bandwidth column: peak − available.
-    let mut cbw: Vec<f64> = pairs
-        .iter()
-        .map(|&(u, v)| {
-            let peak = snap.peak_bandwidth_bps.get(u, v);
-            let avail = snap.bandwidth_bps.get(u, v);
-            if !peak.is_finite() || peak <= 0.0 {
-                // never measured: penalized relative to the measured pairs
-                // below (an absolute sentinel in bps can rank *better* than
-                // a congested measured pair on fast links)
-                return f64::INFINITY;
-            }
-            (peak - avail).max(0.0)
-        })
-        .collect();
-    // Same convention as the latency column: 10× the worst measured value.
-    let max_cbw = cbw
-        .iter()
-        .cloned()
-        .filter(|c| c.is_finite())
-        .fold(0.0f64, f64::max);
-    let cbw_penalty = if max_cbw > 0.0 { max_cbw * 10.0 } else { 1.0 };
-    for (k, c) in cbw.iter_mut().enumerate() {
-        if !c.is_finite() {
-            *c = cbw_penalty;
-        } else {
-            let (u, v) = pairs[k];
-            let stale = snap
-                .bandwidth_age(u, v)
-                .is_none_or(|a| a > policy.max_pair_age);
-            if stale {
-                *c += policy.stale_blend * (cbw_penalty - *c).max(0.0);
-                blended[k] = true;
-            }
+    // pass 2: unmeasured pairs (∞) are clamped to a strong finite penalty,
+    // 10× the worst measured value, so normalization stays meaningful;
+    // stale pairs are blended toward it. The column sums start at -0.0,
+    // as `Iterator::sum` does.
+    let penalty = |max: f64| if max > 0.0 { max * 10.0 } else { 1.0 };
+    let (lat_penalty, cbw_penalty) = (penalty(max_lat), penalty(max_cbw));
+    let blend = |x: &mut f64, penalty: f64, fresh: bool| -> bool {
+        if !x.is_finite() {
+            *x = penalty;
+        } else if !fresh {
+            *x += policy.stale_blend * (penalty - *x).max(0.0);
+            return true;
+        }
+        false
+    };
+    let (mut lat_sum, mut cbw_sum) = (-0.0f64, -0.0f64);
+    let mut blended_count = 0usize;
+    let mut k = 0;
+    for i in 0..m {
+        for j in (i + 1)..m {
+            let lat_blended = blend(&mut lat[k], lat_penalty, lat_fresh[i] || lat_fresh[j]);
+            let cbw_blended = blend(&mut cbw[k], cbw_penalty, bw_fresh[i] || bw_fresh[j]);
+            blended_count += usize::from(lat_blended || cbw_blended);
+            lat_sum += lat[k];
+            cbw_sum += cbw[k];
+            k += 1;
         }
     }
-
-    let blended_count = blended.iter().filter(|&&b| b).count();
     if blended_count > 0 && nlrm_obs::ctx::is_active() {
         nlrm_obs::ctx::emit(
             nlrm_obs::Severity::Warn,
@@ -668,26 +714,39 @@ fn derive_network_load(
         nlrm_obs::ctx::add("loads_stale_pairs_blended_total", blended_count as u64);
     }
 
-    let lat_n = crate::saw::normalize_sum(&lat);
-    let cbw_n = crate::saw::normalize_sum(&cbw);
-    let sum_scale = |raw: &[f64]| {
-        let s: f64 = raw.iter().sum();
-        if s > 0.0 && s.is_finite() {
-            1.0 / s
-        } else {
-            0.0
-        }
-    };
-    norm.lat_scale = sum_scale(&lat);
-    norm.cbw_scale = sum_scale(&cbw);
-    for (k, &(u, v)) in pairs.iter().enumerate() {
-        out.set(
-            u,
-            v,
-            weights.latency * lat_n[k] + weights.bandwidth * cbw_n[k],
-        );
+    // pass 3: sum-normalize each column (an all-zero or non-finite column
+    // normalizes to zeros, as `saw::normalize_sum` does) and combine; the
+    // combined values are written over the latency column
+    let usable_sum = |sum: f64| sum > 0.0 && sum.is_finite();
+    let (lat_ok, cbw_ok) = (usable_sum(lat_sum), usable_sum(cbw_sum));
+    norm.lat_scale = if lat_ok { 1.0 / lat_sum } else { 0.0 };
+    norm.cbw_scale = if cbw_ok { 1.0 / cbw_sum } else { 0.0 };
+    let mut nl = lat;
+    let mut combined_sum = -0.0f64;
+    for (x, &c) in nl.iter_mut().zip(&cbw) {
+        let lat_n = if lat_ok { *x / lat_sum } else { 0.0 };
+        let cbw_n = if cbw_ok { c / cbw_sum } else { 0.0 };
+        *x = weights.latency * lat_n + weights.bandwidth * cbw_n;
+        combined_sum += *x;
     }
-    (out, norm)
+    drop(cbw);
+    norm.pair_mean = combined_sum / pair_count as f64;
+
+    // pass 4: unit-mean rescale (skipped for an all-zero matrix) and Σ NL
+    let mut n_all = 0.0;
+    for x in nl.iter_mut() {
+        if norm.pair_mean > 0.0 {
+            *x /= norm.pair_mean;
+        }
+        n_all += *x;
+    }
+
+    let tri = |i: usize, j: usize| i * (2 * m - i - 1) / 2 + j - i - 1;
+    let matrix = SymMatrix::from_fn(n, |u, v| match (position(pos, u), position(pos, v)) {
+        (Some(i), Some(j)) if i != j => nl[tri(i.min(j), i.max(j))],
+        _ => 0.0,
+    });
+    (matrix, norm, n_all)
 }
 
 #[cfg(test)]
@@ -712,6 +771,332 @@ mod tests {
             Some(4),
         )
         .unwrap()
+    }
+
+    /// The column-at-a-time Eq. 2 plus unit-mean rescale that
+    /// `derive_network_load` fuses, kept as its bit-exact oracle. Returns
+    /// the matrix and the normalization map.
+    fn reference_network_load(
+        snap: &ClusterSnapshot,
+        usable: &[NodeId],
+        weights: &NetworkWeights,
+        policy: &StalenessPolicy,
+    ) -> (SymMatrix<f64>, NlNorm) {
+        let mut out = SymMatrix::new(snap.latency.len(), 0.0);
+        let mut norm = NlNorm {
+            lat_scale: 0.0,
+            cbw_scale: 0.0,
+            pair_mean: 0.0,
+        };
+        let pairs: Vec<(NodeId, NodeId)> = usable
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| (u, v)))
+            .collect();
+        if pairs.is_empty() {
+            return (out, norm);
+        }
+        let mut lat: Vec<f64> = pairs
+            .iter()
+            .map(|&(u, v)| {
+                let st = snap.latency.get(u, v);
+                if st.m1.is_finite() {
+                    st.m1
+                } else {
+                    st.instant
+                }
+            })
+            .collect();
+        let max_finite = lat
+            .iter()
+            .cloned()
+            .filter(|l| l.is_finite())
+            .fold(0.0f64, f64::max);
+        let penalty = if max_finite > 0.0 {
+            max_finite * 10.0
+        } else {
+            1.0
+        };
+        for (k, l) in lat.iter_mut().enumerate() {
+            if !l.is_finite() {
+                *l = penalty;
+            } else {
+                let (u, v) = pairs[k];
+                if snap
+                    .latency_age(u, v)
+                    .is_none_or(|a| a > policy.max_pair_age)
+                {
+                    *l += policy.stale_blend * (penalty - *l).max(0.0);
+                }
+            }
+        }
+        let mut cbw: Vec<f64> = pairs
+            .iter()
+            .map(|&(u, v)| {
+                let peak = snap.peak_bandwidth_bps.get(u, v);
+                let avail = snap.bandwidth_bps.get(u, v);
+                if !peak.is_finite() || peak <= 0.0 {
+                    return f64::INFINITY;
+                }
+                (peak - avail).max(0.0)
+            })
+            .collect();
+        let max_cbw = cbw
+            .iter()
+            .cloned()
+            .filter(|c| c.is_finite())
+            .fold(0.0f64, f64::max);
+        let cbw_penalty = if max_cbw > 0.0 { max_cbw * 10.0 } else { 1.0 };
+        for (k, c) in cbw.iter_mut().enumerate() {
+            if !c.is_finite() {
+                *c = cbw_penalty;
+            } else {
+                let (u, v) = pairs[k];
+                if snap
+                    .bandwidth_age(u, v)
+                    .is_none_or(|a| a > policy.max_pair_age)
+                {
+                    *c += policy.stale_blend * (cbw_penalty - *c).max(0.0);
+                }
+            }
+        }
+        let lat_n = crate::saw::normalize_sum(&lat);
+        let cbw_n = crate::saw::normalize_sum(&cbw);
+        let sum_scale = |raw: &[f64]| {
+            let s: f64 = raw.iter().sum();
+            if s > 0.0 && s.is_finite() {
+                1.0 / s
+            } else {
+                0.0
+            }
+        };
+        norm.lat_scale = sum_scale(&lat);
+        norm.cbw_scale = sum_scale(&cbw);
+        for (k, &(u, v)) in pairs.iter().enumerate() {
+            out.set(
+                u,
+                v,
+                weights.latency * lat_n[k] + weights.bandwidth * cbw_n[k],
+            );
+        }
+        // the unit-mean rescale
+        let pair_vals: Vec<f64> = pairs.iter().map(|&(u, v)| out.get(u, v)).collect();
+        let pair_mean = pair_vals.iter().sum::<f64>() / pair_vals.len() as f64;
+        if pair_mean > 0.0 {
+            for &(u, v) in &pairs {
+                let scaled = out.get(u, v) / pair_mean;
+                out.set(u, v, scaled);
+            }
+        }
+        norm.pair_mean = pair_mean;
+        (out, norm)
+    }
+
+    /// Perturb a warmed snapshot from `seed`: every row age is fresh, on
+    /// the `max_pair_age` boundary, stale or missing; some pairs were never
+    /// measured (∞ latency or 0 peak bandwidth); and some nodes' samples
+    /// are too old, so the usable ids come out sparse.
+    fn perturb(snap: &mut ClusterSnapshot, seed: u64) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let policy = StalenessPolicy::default();
+        let n = snap.latency.len();
+        let ages = [
+            None,
+            Some(Duration::from_secs(0)),
+            Some(policy.max_pair_age),
+            Some(Duration::from_secs(
+                policy.max_pair_age.as_micros() / 1_000_000 + 1,
+            )),
+            Some(Duration::from_secs(5000)),
+        ];
+        for i in 0..n {
+            snap.latency_row_age[i] = ages[rng.gen_range(0..ages.len())];
+            snap.bandwidth_row_age[i] = ages[rng.gen_range(0..ages.len())];
+        }
+        for info in &mut snap.nodes {
+            if rng.gen_bool(0.2) {
+                info.sample.taken_at = SimTime::from_micros(
+                    snap.taken_at.as_micros() - policy.max_sample_age.as_micros() - 1,
+                );
+            }
+        }
+        for _ in 0..n {
+            let u = NodeId(rng.gen_range(0..n as u32));
+            let v = NodeId(rng.gen_range(0..n as u32));
+            if u == v {
+                continue;
+            }
+            if rng.gen_bool(0.5) {
+                snap.latency
+                    .set(u, v, nlrm_monitor::LatencyStat::constant(f64::INFINITY));
+            } else {
+                snap.peak_bandwidth_bps.set(u, v, 0.0);
+            }
+        }
+    }
+
+    fn assert_bits_eq(got: f64, want: f64, what: &str) {
+        assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got} vs {want}");
+    }
+
+    fn dense(loads: &Loads) -> &Arc<SymMatrix<f64>> {
+        match &loads.nl {
+            NlRep::Dense(m) => m,
+            _ => panic!("expected a dense network load"),
+        }
+    }
+
+    #[test]
+    fn fused_derive_is_bit_identical_to_the_column_wise_oracle() {
+        let weight_sets = [
+            NetworkWeights::paper_default(),
+            NetworkWeights {
+                latency: 1.0,
+                bandwidth: 0.0,
+            },
+            NetworkWeights {
+                latency: 0.0,
+                bandwidth: 1.0,
+            },
+        ];
+        let policies = [
+            StalenessPolicy::default(),
+            StalenessPolicy::off(),
+            StalenessPolicy {
+                stale_blend: 1.0,
+                ..StalenessPolicy::default()
+            },
+        ];
+        let mut sparse_cases = 0;
+        for seed in 0..12u64 {
+            let mut snap = snapshot(12, seed);
+            perturb(&mut snap, seed);
+            for weights in &weight_sets {
+                for policy in &policies {
+                    let Ok((loads, norm)) = Loads::derive_core(
+                        &snap,
+                        &ComputeWeights::paper_default(),
+                        weights,
+                        None,
+                        policy,
+                    ) else {
+                        continue;
+                    };
+                    if loads.usable.len() < snap.nodes.len() {
+                        sparse_cases += 1;
+                    }
+                    let (want, want_norm) =
+                        reference_network_load(&snap, &loads.usable, weights, policy);
+                    let got = dense(&loads);
+                    let n = snap.latency.len();
+                    for u in 0..n as u32 {
+                        for v in 0..n as u32 {
+                            let (u, v) = (NodeId(u), NodeId(v));
+                            assert_bits_eq(got.get(u, v), want.get(u, v), "NL cell");
+                        }
+                    }
+                    assert_bits_eq(norm.lat_scale, want_norm.lat_scale, "lat_scale");
+                    assert_bits_eq(norm.cbw_scale, want_norm.cbw_scale, "cbw_scale");
+                    assert_bits_eq(norm.pair_mean, want_norm.pair_mean, "pair_mean");
+                    // the totals the generic constructor computes from the
+                    // oracle's parts
+                    let oracle = Loads::from_parts(
+                        loads.usable.clone(),
+                        loads.cl.clone(),
+                        want,
+                        loads.pc.clone(),
+                    );
+                    assert_eq!(loads.cl, oracle.cl);
+                    assert_bits_eq(
+                        loads.total_compute_load(),
+                        oracle.total_compute_load(),
+                        "total_compute_load",
+                    );
+                    assert_bits_eq(
+                        loads.total_network_load(),
+                        oracle.total_network_load(),
+                        "total_network_load",
+                    );
+                }
+            }
+        }
+        assert!(sparse_cases > 0, "no case excluded a stale node");
+    }
+
+    #[test]
+    fn fused_derive_keeps_the_sharded_bounds_bit_identical() {
+        use nlrm_monitor::daemons::DaemonConfig;
+        use nlrm_monitor::{MonitorTopo, ShardConfig};
+        let mut cluster = nlrm_cluster::iitk::iitk_cluster(11);
+        let index = cluster.topology().switch_index();
+        let mut rt = MonitorRuntime::with_topo(
+            &cluster,
+            DaemonConfig::default(),
+            MonitorTopo::Sharded(ShardConfig::new(index.clone())),
+        );
+        let mut snap = rt
+            .warm_snapshot(&mut cluster, Duration::from_secs(360))
+            .unwrap();
+        perturb(&mut snap, 5);
+        let est = rt
+            .inter_estimate()
+            .expect("sharded run publishes an estimate");
+        let policy = StalenessPolicy::default();
+        for weights in [
+            NetworkWeights::paper_default(),
+            NetworkWeights {
+                latency: 1.0,
+                bandwidth: 0.0,
+            },
+            NetworkWeights {
+                latency: 0.0,
+                bandwidth: 1.0,
+            },
+        ] {
+            let loads = Loads::derive_sharded(
+                &snap,
+                &est,
+                &index,
+                &ComputeWeights::paper_default(),
+                &weights,
+                Some(4),
+                &policy,
+            )
+            .unwrap();
+            let (matrix, norm) = reference_network_load(&snap, &loads.usable, &weights, &policy);
+            let (lo, hi) = inter_bands(&est, index.num_switches(), &norm, &weights);
+            let want =
+                EstimatedNl::new(TieredNl::from_dense(&matrix, &loads.usable, &index), lo, hi);
+            let NlRep::Estimated(got) = &loads.nl else {
+                panic!("derive_sharded must attach bounds");
+            };
+            for (i, &u) in loads.usable.iter().enumerate() {
+                for &v in &loads.usable[i + 1..] {
+                    let (g, w) = (got.bounds(u, v), want.bounds(u, v));
+                    assert_bits_eq(g.0, w.0, "inter_lo");
+                    assert_bits_eq(g.1, w.1, "inter_hi");
+                    assert_bits_eq(got.get(u, v), want.get(u, v), "point");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_derive_records_its_wall_time() {
+        let snap = snapshot(6, 3);
+        let obs = nlrm_obs::Obs::new();
+        let _guard = nlrm_obs::ctx::install(&obs);
+        let count = || {
+            obs.metrics
+                .histogram_snapshot("loads_derive_wall_seconds")
+                .map_or(0, |h| h.count())
+        };
+        assert_eq!(count(), 0);
+        derive(&snap);
+        assert_eq!(count(), 1);
+        derive(&snap);
+        assert_eq!(count(), 2);
     }
 
     #[test]
@@ -752,10 +1137,15 @@ mod tests {
         );
         assert_eq!(sub.total_compute_load(), rebuilt.total_compute_load());
         assert_eq!(sub.total_network_load(), rebuilt.total_network_load());
-        // the identity cap rebuilds the same universe
+        // the identity cap rebuilds the same universe, with the same totals
         let same = full.restrict(|_, pc| pc);
         assert_eq!(same.usable, full.usable);
         assert_eq!(same.pc, full.pc);
+        assert_eq!(same.total_compute_load(), full.total_compute_load());
+        assert_eq!(same.total_network_load(), full.total_network_load());
+        // either way the dense matrix is shared, not copied
+        assert!(Arc::ptr_eq(dense(&sub), dense(&full)));
+        assert!(Arc::ptr_eq(dense(&same), dense(&full)));
     }
 
     #[test]

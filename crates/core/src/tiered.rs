@@ -22,6 +22,7 @@
 
 use nlrm_monitor::SymMatrix;
 use nlrm_topology::{NodeId, SwitchIndex};
+use std::sync::Arc;
 
 /// Tiered pairwise network load: exact within a switch, aggregated across.
 #[derive(Debug, Clone, PartialEq)]
@@ -373,8 +374,10 @@ impl EstimatedNl {
 /// The network-load representation carried by `Loads`, behind `nl_between`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NlRep {
-    /// Exact V×V pair matrix (the original representation).
-    Dense(SymMatrix<f64>),
+    /// Exact V×V pair matrix (the original representation), shared: every
+    /// clone of the `Loads` it came from, such as a broker's
+    /// reservation-restricted view, reads the same matrix without copying.
+    Dense(Arc<SymMatrix<f64>>),
     /// Exact intra-switch, aggregated inter-switch.
     Tiered(TieredNl),
     /// Tiered point estimate with inter-switch error bounds (sharded
@@ -445,7 +448,7 @@ impl NlRep {
 
 impl From<SymMatrix<f64>> for NlRep {
     fn from(m: SymMatrix<f64>) -> NlRep {
-        NlRep::Dense(m)
+        NlRep::Dense(Arc::new(m))
     }
 }
 
@@ -525,7 +528,7 @@ mod tests {
         let dense = dense_6();
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
         let t = TieredNl::from_dense(&dense, &nodes, &idx);
-        let dense_rep = NlRep::Dense(dense);
+        let dense_rep = NlRep::from(dense);
         let want = dense_rep.pair_sum(&nodes);
         assert!((t.pair_sum(&nodes) - want).abs() < 1e-9);
     }

@@ -22,6 +22,17 @@ impl<T: Copy> SymMatrix<T> {
         }
     }
 
+    /// An `n × n` matrix built row by row, writing each cell once: cell
+    /// `(u, v)` holds `f(min(u, v), max(u, v))`, so the result is
+    /// symmetric by construction.
+    pub fn from_fn(n: usize, mut f: impl FnMut(NodeId, NodeId) -> T) -> Self {
+        let mut data = Vec::with_capacity(n * n);
+        for u in 0..n as u32 {
+            data.extend((0..n as u32).map(|v| f(NodeId(u.min(v)), NodeId(u.max(v)))));
+        }
+        SymMatrix { n, data }
+    }
+
     /// Matrix dimension.
     pub fn len(&self) -> usize {
         self.n
@@ -99,6 +110,20 @@ mod tests {
         m.set(NodeId(1), NodeId(3), 7.5);
         assert_eq!(m.get(NodeId(3), NodeId(1)), 7.5);
         assert_eq!(m.get(NodeId(1), NodeId(3)), 7.5);
+    }
+
+    #[test]
+    fn from_fn_matches_cell_by_cell_sets() {
+        let f = |u: NodeId, v: NodeId| (u.0 * 10 + v.0) as f64;
+        let built = SymMatrix::from_fn(4, f);
+        let mut set = SymMatrix::new(4, 0.0);
+        for u in 0..4 {
+            for v in u..4 {
+                set.set(NodeId(u), NodeId(v), f(NodeId(u), NodeId(v)));
+            }
+        }
+        assert_eq!(built, set);
+        assert_eq!(built.get(NodeId(3), NodeId(1)), 13.0);
     }
 
     #[test]

@@ -27,6 +27,9 @@ use nlrm_topology::{NodeId, SwitchId};
 /// Histogram bucket bounds (µs wall clock) for monitor tick latency.
 const TICK_WALL_BOUNDS: &[f64] = &[1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0];
 
+/// Histogram bucket bounds (seconds wall clock) for snapshot assembly.
+const ASSEMBLE_WALL_BOUNDS: &[f64] = &[1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
+
 /// Which daemon a scheduled tick belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tick {
@@ -480,13 +483,23 @@ impl MonitorRuntime {
 
     /// Assemble the allocator's snapshot from the store. Central and
     /// sharded stores produce the same snapshot shape, so consumers never
-    /// know which topology ran.
+    /// know which topology ran. Under an installed observer, the wall
+    /// time of each assembly lands in `snapshot_assemble_wall_seconds`.
     pub fn snapshot(&self, now: SimTime) -> Result<ClusterSnapshot, SnapshotError> {
-        if self.sharded.is_some() {
+        let started = nlrm_obs::ctx::is_active().then(std::time::Instant::now);
+        let snap = if self.sharded.is_some() {
             ClusterSnapshot::assemble_sharded(&self.store, self.n, now)
         } else {
             ClusterSnapshot::assemble(&self.store, self.n, now)
+        };
+        if let Some(started) = started {
+            nlrm_obs::ctx::observe(
+                "snapshot_assemble_wall_seconds",
+                ASSEMBLE_WALL_BOUNDS,
+                started.elapsed().as_secs_f64(),
+            );
         }
+        snap
     }
 
     /// Convenience: warm the monitor for `warmup` then return a snapshot.
@@ -532,6 +545,23 @@ mod tests {
         let usable = snap.usable_nodes();
         assert_eq!(usable.len(), 5);
         assert!(!usable.contains(&NodeId(4)));
+    }
+
+    #[test]
+    fn each_snapshot_records_its_wall_time() {
+        let mut cluster = small_cluster(4, 11);
+        let mut rt = MonitorRuntime::new(&cluster);
+        rt.run_until(&mut cluster, SimTime::from_secs(60));
+        let obs = nlrm_obs::Obs::new();
+        let _guard = nlrm_obs::ctx::install(&obs);
+        let count = || {
+            obs.metrics
+                .histogram_snapshot("snapshot_assemble_wall_seconds")
+                .map_or(0, |h| h.count())
+        };
+        assert_eq!(count(), 0);
+        rt.snapshot(cluster.now()).unwrap();
+        assert_eq!(count(), 1);
     }
 
     #[test]

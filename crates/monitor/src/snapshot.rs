@@ -6,6 +6,7 @@
 //! the allocator decides with exactly that imperfect information.
 
 use crate::codec::{decode, CodecError, MonitorRecord};
+use crate::estimate::InterEstimate;
 use crate::matrix::SymMatrix;
 use crate::sample::{LatencyStat, NodeSample};
 use crate::store::{paths, SharedStore};
@@ -66,67 +67,130 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The parts of a snapshot shared by the central and sharded assemblers:
-/// node infos from livehosts + nodestate records, plus matrices initialised
-/// to the unmeasured-pair conventions.
-struct BaseParts {
-    nodes: Vec<NodeInfo>,
-    latency: SymMatrix<LatencyStat>,
-    bandwidth: SymMatrix<f64>,
-    peak: SymMatrix<f64>,
-}
-
-fn base_parts(store: &SharedStore, n: usize) -> Result<BaseParts, SnapshotError> {
-    let live = read_livehosts(store)?;
+/// Node infos from the livehosts + nodestate records, shared by the central
+/// and sharded assemblers.
+fn read_nodes(store: &SharedStore, n: usize) -> Result<Vec<NodeInfo>, SnapshotError> {
+    let mut live = vec![false; n];
+    for node in read_livehosts(store)? {
+        if let Some(slot) = live.get_mut(node.index()) {
+            *slot = true;
+        }
+    }
     let mut nodes = Vec::new();
-    for i in 0..n {
+    for (i, &live) in live.iter().enumerate() {
         let node = NodeId(i as u32);
         let path = paths::node_state(node);
         let Some(rec) = store.get(&path) else {
             continue;
         };
         match decode(&rec.data) {
-            Ok(MonitorRecord::Sample(sample)) => nodes.push(NodeInfo {
-                node,
-                sample,
-                live: live.contains(&node),
+            Ok(MonitorRecord::Sample(sample)) => nodes.push(NodeInfo { node, sample, live }),
+            Ok(_) => return Err(SnapshotError::Corrupt(path, CodecError::BadTag(0))),
+            Err(e) => return Err(SnapshotError::Corrupt(path, e)),
+        }
+    }
+    Ok(nodes)
+}
+
+/// Pair matrices at the unmeasured-pair conventions: latency 0 on the
+/// diagonal and +∞ off it, bandwidths +∞ on the diagonal and 0 off it.
+fn unmeasured_matrices(n: usize) -> (SymMatrix<LatencyStat>, SymMatrix<f64>, SymMatrix<f64>) {
+    let mut latency = SymMatrix::new(n, LatencyStat::constant(f64::INFINITY));
+    let mut bandwidth = SymMatrix::new(n, 0.0f64);
+    let mut peak = SymMatrix::new(n, 0.0f64);
+    for i in 0..n {
+        let node = NodeId(i as u32);
+        latency.set(node, node, LatencyStat::constant(0.0));
+        bandwidth.set(node, node, f64::INFINITY);
+        peak.set(node, node, f64::INFINITY);
+    }
+    (latency, bandwidth, peak)
+}
+
+/// One decoded `shard/` record.
+struct ShardRecord {
+    shard: u32,
+    members: Vec<NodeId>,
+    lat_s: Vec<f64>,
+    avail_bps: Vec<f64>,
+    peak_bps: Vec<f64>,
+    age: Duration,
+}
+
+impl ShardRecord {
+    /// Index of the member pair `(i, j)`, `i < j`, in the packed upper
+    /// triangle the record stores.
+    fn tri(&self, i: usize, j: usize) -> usize {
+        let m = self.members.len();
+        i * (2 * m - i - 1) / 2 + j - i - 1
+    }
+}
+
+/// Every `shard/` record, in store listing order.
+fn read_shards(store: &SharedStore, now: SimTime) -> Result<Vec<ShardRecord>, SnapshotError> {
+    let mut shards = Vec::new();
+    for path in store.list_prefix("shard/") {
+        let Some(rec) = store.get(&path) else {
+            continue;
+        };
+        match decode(&rec.data) {
+            Ok(MonitorRecord::ShardNl {
+                shard,
+                members,
+                lat_s,
+                avail_bps,
+                peak_bps,
+                ..
+            }) => shards.push(ShardRecord {
+                shard,
+                members,
+                lat_s,
+                avail_bps,
+                peak_bps,
+                age: now.since(rec.written_at),
             }),
             Ok(_) => return Err(SnapshotError::Corrupt(path, CodecError::BadTag(0))),
             Err(e) => return Err(SnapshotError::Corrupt(path, e)),
         }
     }
+    Ok(shards)
+}
 
-    let mut latency = SymMatrix::new(n, LatencyStat::constant(f64::INFINITY));
-    for i in 0..n {
-        latency.set(
-            NodeId(i as u32),
-            NodeId(i as u32),
-            LatencyStat::constant(0.0),
-        );
+/// The inter-shard estimate record and its age, if one was published.
+fn read_estimate(
+    store: &SharedStore,
+    now: SimTime,
+) -> Result<(Option<InterEstimate>, Option<Duration>), SnapshotError> {
+    let Some(rec) = store.get(paths::INTER_ESTIMATE) else {
+        return Ok((None, None));
+    };
+    let age = Some(now.since(rec.written_at));
+    match decode(&rec.data) {
+        Ok(r @ MonitorRecord::InterEstimate { .. }) => Ok((InterEstimate::from_record(&r), age)),
+        Ok(_) => Err(SnapshotError::Corrupt(
+            paths::INTER_ESTIMATE.into(),
+            CodecError::BadTag(0),
+        )),
+        Err(e) => Err(SnapshotError::Corrupt(paths::INTER_ESTIMATE.into(), e)),
     }
-    let mut bandwidth = SymMatrix::new(n, 0.0f64);
-    let mut peak = SymMatrix::new(n, 0.0f64);
-    for i in 0..n {
-        bandwidth.set(NodeId(i as u32), NodeId(i as u32), f64::INFINITY);
-        peak.set(NodeId(i as u32), NodeId(i as u32), f64::INFINITY);
-    }
-    Ok(BaseParts {
-        nodes,
-        latency,
-        bandwidth,
-        peak,
-    })
+}
+
+/// Where a sharded snapshot's pair value comes from.
+#[derive(Clone, Copy)]
+enum PairSource {
+    Diagonal,
+    Unmeasured,
+    /// `(shard record, packed index)` of an intra-shard pair.
+    Intra(usize, usize),
+    /// Estimated cross-shard point values `(latency s, avail bps, peak bps)`.
+    Cross(f64, f64, f64),
 }
 
 impl ClusterSnapshot {
     /// Assemble a snapshot for an `n`-node cluster from the store.
     pub fn assemble(store: &SharedStore, n: usize, now: SimTime) -> Result<Self, SnapshotError> {
-        let BaseParts {
-            nodes,
-            mut latency,
-            mut bandwidth,
-            mut peak,
-        } = base_parts(store, n)?;
+        let nodes = read_nodes(store, n)?;
+        let (mut latency, mut bandwidth, mut peak) = unmeasured_matrices(n);
 
         let mut latency_row_age = vec![None; n];
         let mut bandwidth_row_age = vec![None; n];
@@ -190,119 +254,97 @@ impl ClusterSnapshot {
 
     /// Assemble a snapshot from *sharded* monitor records: intra-shard
     /// pairs come exact from the per-shard `ShardNl` matrices, cross-shard
-    /// pairs from the sampled [`InterEstimate`](crate::estimate::InterEstimate)
-    /// point values. Livehosts/nodestate handling and the matrix
+    /// pairs from the sampled [`InterEstimate`] point values.
+    /// Livehosts/nodestate handling and the matrix
     /// conventions are identical to [`ClusterSnapshot::assemble`], so the
     /// allocator consumes either transparently.
     ///
     /// Row ages are conservative: a member's rows are as old as the *older*
     /// of its shard record and the estimate record, so the staleness policy
     /// never treats inferred data as fresher than its inputs.
+    ///
+    /// Each matrix is written once, row by row: every node is mapped to
+    /// its (shard record, member index), and the cross-shard values are
+    /// looked up per pair of shard records. Shards partition the nodes; a
+    /// node listed by several records belongs to the last one listed.
     pub fn assemble_sharded(
         store: &SharedStore,
         n: usize,
         now: SimTime,
     ) -> Result<Self, SnapshotError> {
-        let BaseParts {
-            nodes,
-            mut latency,
-            mut bandwidth,
-            mut peak,
-        } = base_parts(store, n)?;
+        let nodes = read_nodes(store, n)?;
+        let shards = read_shards(store, now)?;
+        let (est, est_age) = read_estimate(store, now)?;
 
+        const NO_SHARD: usize = usize::MAX;
+        let mut home = vec![(NO_SHARD, 0usize); n];
         let mut latency_row_age = vec![None; n];
         let mut bandwidth_row_age = vec![None; n];
-
-        // intra-shard: exact pair matrices per shard
-        let mut shards: Vec<(u32, Vec<NodeId>, Duration)> = Vec::new();
-        for path in store.list_prefix("shard/") {
-            let Some(rec) = store.get(&path) else {
-                continue;
-            };
-            let age = now.since(rec.written_at);
-            match decode(&rec.data) {
-                Ok(MonitorRecord::ShardNl {
-                    shard,
-                    members,
-                    lat_s,
-                    avail_bps,
-                    peak_bps,
-                    ..
-                }) => {
-                    let m = members.len();
-                    let tri = |i: usize, j: usize| i * (2 * m - i - 1) / 2 + j - i - 1;
-                    for i in 0..m {
-                        for j in (i + 1)..m {
-                            let (u, v) = (members[i], members[j]);
-                            if u.index() >= n || v.index() >= n {
-                                continue;
-                            }
-                            let k = tri(i, j);
-                            latency.set(u, v, LatencyStat::constant(lat_s[k]));
-                            bandwidth.set(u, v, avail_bps[k]);
-                            peak.set(u, v, peak_bps[k]);
-                        }
-                    }
-                    shards.push((shard, members, age));
-                }
-                Ok(_) => return Err(SnapshotError::Corrupt(path, CodecError::BadTag(0))),
-                Err(e) => return Err(SnapshotError::Corrupt(path, e)),
-            }
-        }
-
-        // cross-shard: point values from the sampled estimate
-        let mut est = None;
-        let mut est_age = None;
-        if let Some(rec) = store.get(paths::INTER_ESTIMATE) {
-            est_age = Some(now.since(rec.written_at));
-            match decode(&rec.data) {
-                Ok(r @ MonitorRecord::InterEstimate { .. }) => {
-                    est = crate::estimate::InterEstimate::from_record(&r);
-                }
-                Ok(_) => {
-                    return Err(SnapshotError::Corrupt(
-                        paths::INTER_ESTIMATE.into(),
-                        CodecError::BadTag(0),
-                    ))
-                }
-                Err(e) => return Err(SnapshotError::Corrupt(paths::INTER_ESTIMATE.into(), e)),
-            }
-        }
-        if let Some(est) = &est {
-            for (i, (s, ms, _)) in shards.iter().enumerate() {
-                for (t, mt, _) in &shards[i + 1..] {
-                    let Some(lat) = est.latency_s(*s, *t) else {
-                        continue;
-                    };
-                    let avail = est.avail_bps(*s, *t).unwrap_or(0.0);
-                    let pk = est.peak_bps(*s, *t).unwrap_or(0.0);
-                    for &u in ms {
-                        for &v in mt {
-                            if u.index() >= n || v.index() >= n {
-                                continue;
-                            }
-                            latency.set(u, v, LatencyStat::constant(lat.point));
-                            bandwidth.set(u, v, avail);
-                            peak.set(u, v, pk);
-                        }
-                    }
-                }
-            }
-        }
-
-        for (_, members, age) in &shards {
+        for (k, rec) in shards.iter().enumerate() {
             let worst = match est_age {
-                Some(e) => (*age).max(e),
-                None => *age,
+                Some(e) => rec.age.max(e),
+                None => rec.age,
             };
-            for &u in members {
+            for (i, &u) in rec.members.iter().enumerate() {
                 if u.index() >= n {
                     continue;
                 }
+                home[u.index()] = (k, i);
                 latency_row_age[u.index()] = Some(worst);
                 bandwidth_row_age[u.index()] = Some(worst);
             }
         }
+
+        // cross-shard point values per pair of shard records
+        let k_count = shards.len();
+        let mut cross = vec![PairSource::Unmeasured; k_count * k_count];
+        if let Some(est) = &est {
+            for (a, sa) in shards.iter().enumerate() {
+                for (b, sb) in shards.iter().enumerate().skip(a + 1) {
+                    let (s, t) = (sa.shard, sb.shard);
+                    let Some(lat) = est.latency_s(s, t) else {
+                        continue;
+                    };
+                    let avail = est.avail_bps(s, t).unwrap_or(0.0);
+                    let pk = est.peak_bps(s, t).unwrap_or(0.0);
+                    let src = PairSource::Cross(lat.point, avail, pk);
+                    cross[a * k_count + b] = src;
+                    cross[b * k_count + a] = src;
+                }
+            }
+        }
+        let source = |u: NodeId, v: NodeId| {
+            if u == v {
+                return PairSource::Diagonal;
+            }
+            let ((ku, iu), (kv, iv)) = (home[u.index()], home[v.index()]);
+            if ku == NO_SHARD || kv == NO_SHARD {
+                PairSource::Unmeasured
+            } else if ku == kv {
+                PairSource::Intra(ku, shards[ku].tri(iu.min(iv), iu.max(iv)))
+            } else {
+                cross[ku * k_count + kv]
+            }
+        };
+
+        let latency = SymMatrix::from_fn(n, |u, v| match source(u, v) {
+            PairSource::Diagonal => LatencyStat::constant(0.0),
+            PairSource::Unmeasured => LatencyStat::constant(f64::INFINITY),
+            PairSource::Intra(k, p) => LatencyStat::constant(shards[k].lat_s[p]),
+            PairSource::Cross(lat, _, _) => LatencyStat::constant(lat),
+        });
+        let bandwidth = SymMatrix::from_fn(n, |u, v| match source(u, v) {
+            PairSource::Diagonal => f64::INFINITY,
+            PairSource::Unmeasured => 0.0,
+            PairSource::Intra(k, p) => shards[k].avail_bps[p],
+            PairSource::Cross(_, avail, _) => avail,
+        });
+        let peak = SymMatrix::from_fn(n, |u, v| match source(u, v) {
+            PairSource::Diagonal => f64::INFINITY,
+            PairSource::Unmeasured => 0.0,
+            PairSource::Intra(k, p) => shards[k].peak_bps[p],
+            PairSource::Cross(_, _, pk) => pk,
+        });
 
         Ok(ClusterSnapshot {
             taken_at: now,
@@ -348,9 +390,13 @@ impl ClusterSnapshot {
             .collect()
     }
 
-    /// Info for a node, if present.
+    /// Info for a node, if present. O(1) when `nodes` is positional (as
+    /// the assemblers build it); a scan otherwise.
     pub fn info(&self, node: NodeId) -> Option<&NodeInfo> {
-        self.nodes.iter().find(|n| n.node == node)
+        match self.nodes.get(node.index()) {
+            Some(hit) if hit.node == node => Some(hit),
+            _ => self.nodes.iter().find(|n| n.node == node),
+        }
     }
 
     /// Age of the oldest sample among usable nodes (staleness diagnostic).
@@ -402,6 +448,198 @@ mod tests {
         LatencyD::new(n).tick(&mut cluster, &store);
         BandwidthD::new(n).tick(&mut cluster, &store);
         (store, cluster.now())
+    }
+
+    /// The cell-by-cell sharded assembler (defaults first, then every
+    /// record's pairs written through mirrored `set`s, last writer wins),
+    /// kept as the oracle for the row-major `assemble_sharded`.
+    fn assemble_sharded_reference(store: &SharedStore, n: usize, now: SimTime) -> ClusterSnapshot {
+        let nodes = read_nodes(store, n).unwrap();
+        let (mut latency, mut bandwidth, mut peak) = unmeasured_matrices(n);
+        let shards = read_shards(store, now).unwrap();
+        for rec in &shards {
+            let m = rec.members.len();
+            for i in 0..m {
+                for j in (i + 1)..m {
+                    let (u, v) = (rec.members[i], rec.members[j]);
+                    if u.index() >= n || v.index() >= n {
+                        continue;
+                    }
+                    let k = rec.tri(i, j);
+                    latency.set(u, v, LatencyStat::constant(rec.lat_s[k]));
+                    bandwidth.set(u, v, rec.avail_bps[k]);
+                    peak.set(u, v, rec.peak_bps[k]);
+                }
+            }
+        }
+        let (est, est_age) = read_estimate(store, now).unwrap();
+        if let Some(est) = &est {
+            for (i, a) in shards.iter().enumerate() {
+                for b in &shards[i + 1..] {
+                    let Some(lat) = est.latency_s(a.shard, b.shard) else {
+                        continue;
+                    };
+                    let avail = est.avail_bps(a.shard, b.shard).unwrap_or(0.0);
+                    let pk = est.peak_bps(a.shard, b.shard).unwrap_or(0.0);
+                    for &u in &a.members {
+                        for &v in &b.members {
+                            if u.index() >= n || v.index() >= n {
+                                continue;
+                            }
+                            latency.set(u, v, LatencyStat::constant(lat.point));
+                            bandwidth.set(u, v, avail);
+                            peak.set(u, v, pk);
+                        }
+                    }
+                }
+            }
+        }
+        let mut latency_row_age = vec![None; n];
+        let mut bandwidth_row_age = vec![None; n];
+        for rec in &shards {
+            let worst = match est_age {
+                Some(e) => rec.age.max(e),
+                None => rec.age,
+            };
+            for &u in &rec.members {
+                if u.index() < n {
+                    latency_row_age[u.index()] = Some(worst);
+                    bandwidth_row_age[u.index()] = Some(worst);
+                }
+            }
+        }
+        ClusterSnapshot {
+            taken_at: now,
+            nodes,
+            latency,
+            bandwidth_bps: bandwidth,
+            peak_bandwidth_bps: peak,
+            latency_row_age,
+            bandwidth_row_age,
+        }
+    }
+
+    /// A sharded monitor's store after warming `campus(4, 12)`; `failed`
+    /// nodes die a minute in, so they drop out of livehosts and of their
+    /// shard's members.
+    fn sharded_store(failed: &[u32]) -> (SharedStore, usize, SimTime) {
+        use crate::daemons::DaemonConfig;
+        use crate::runtime::{MonitorRuntime, MonitorTopo, ShardConfig};
+        let mut cluster = nlrm_cluster::iitk::campus(4, 12, 7);
+        let n = cluster.topology().num_nodes();
+        for &node in failed {
+            cluster.schedule_failure(SimTime::from_secs(60), NodeId(node));
+        }
+        let idx = cluster.topology().switch_index();
+        let mut rt = MonitorRuntime::with_topo(
+            &cluster,
+            DaemonConfig::default(),
+            MonitorTopo::Sharded(ShardConfig::new(idx)),
+        );
+        rt.run_until(&mut cluster, SimTime::from_secs(400));
+        (rt.store().clone(), n, cluster.now())
+    }
+
+    /// An independent copy of every record in `store`.
+    fn copy_store(store: &SharedStore) -> SharedStore {
+        let copy = SharedStore::new();
+        for path in store.list_prefix("") {
+            let rec = store.get(&path).unwrap();
+            copy.put(path, rec.written_at, rec.data);
+        }
+        copy
+    }
+
+    fn assert_same_snapshot(got: &ClusterSnapshot, want: &ClusterSnapshot, case: &str) {
+        assert_eq!(got.taken_at, want.taken_at, "{case}: taken_at");
+        assert_eq!(got.nodes, want.nodes, "{case}: nodes");
+        assert!(got.latency == want.latency, "{case}: latency");
+        assert!(got.bandwidth_bps == want.bandwidth_bps, "{case}: bandwidth");
+        assert!(
+            got.peak_bandwidth_bps == want.peak_bandwidth_bps,
+            "{case}: peak bandwidth"
+        );
+        assert_eq!(
+            got.latency_row_age, want.latency_row_age,
+            "{case}: latency ages"
+        );
+        assert_eq!(
+            got.bandwidth_row_age, want.bandwidth_row_age,
+            "{case}: bandwidth ages"
+        );
+    }
+
+    #[test]
+    fn row_major_sharded_assembly_matches_the_cell_by_cell_oracle() {
+        let (store, n, now) = sharded_store(&[]);
+        let later = now + Duration::from_secs(30);
+        let check = |store: &SharedStore, case: &str| {
+            let got = ClusterSnapshot::assemble_sharded(store, n, later).unwrap();
+            let want = assemble_sharded_reference(store, n, later);
+            assert_same_snapshot(&got, &want, case);
+            got
+        };
+        let full = check(&store, "warmed store");
+        assert!(full.latency.pairs().all(|(_, _, l)| l.instant.is_finite()));
+
+        let one_shard_gone = copy_store(&store);
+        let shard_paths = one_shard_gone.list_prefix("shard/");
+        assert!(shard_paths.len() >= 2, "expected several shard records");
+        assert!(one_shard_gone.remove(&shard_paths[1]));
+        let snap = check(&one_shard_gone, "one shard record removed");
+        assert!(snap.latency_row_age.iter().any(Option::is_none));
+
+        let no_estimate = copy_store(&store);
+        assert!(no_estimate.remove(paths::INTER_ESTIMATE));
+        let snap = check(&no_estimate, "inter estimate removed");
+        assert!(snap
+            .latency
+            .pairs()
+            .any(|(_, _, l)| l.instant.is_infinite()));
+
+        // an estimate older than every shard record ages all the rows
+        let old_estimate = copy_store(&store);
+        let rec = old_estimate.get(paths::INTER_ESTIMATE).unwrap();
+        old_estimate.put(paths::INTER_ESTIMATE, SimTime::ZERO, rec.data);
+        let snap = check(&old_estimate, "old inter estimate");
+        let age = Some(later.since(SimTime::ZERO));
+        assert!(snap.latency_row_age.iter().all(|&a| a == age));
+
+        let (dead, n_dead, now_dead) = sharded_store(&[3, 17, 40]);
+        assert_eq!(n_dead, n);
+        let got = ClusterSnapshot::assemble_sharded(&dead, n, now_dead).unwrap();
+        let want = assemble_sharded_reference(&dead, n, now_dead);
+        assert_same_snapshot(&got, &want, "dead nodes");
+        assert!(!got.usable_nodes().contains(&NodeId(17)));
+    }
+
+    #[test]
+    fn info_hits_by_position_and_falls_back_to_a_scan() {
+        let (store, now) = populated(5);
+        // positional: every node sits at its own id
+        let snap = ClusterSnapshot::assemble(&store, 5, now).unwrap();
+        for i in 0..5u32 {
+            let info = snap.info(NodeId(i)).unwrap();
+            assert_eq!(info.node, NodeId(i));
+            assert!(std::ptr::eq(info, &snap.nodes[i as usize]));
+        }
+        // a missing node shifts everyone after it off their slot
+        store.remove(&paths::node_state(NodeId(1)));
+        let snap = ClusterSnapshot::assemble(&store, 5, now).unwrap();
+        assert!(snap.info(NodeId(1)).is_none());
+        for i in [0u32, 2, 3, 4] {
+            assert_eq!(snap.info(NodeId(i)).unwrap().node, NodeId(i));
+        }
+        assert!(snap.info(NodeId(9)).is_none());
+        // hand-built, out of id order
+        let mut shuffled = snap.clone();
+        shuffled.nodes.reverse();
+        for i in [0u32, 2, 3, 4] {
+            let info = shuffled.info(NodeId(i)).unwrap();
+            assert_eq!(info.node, NodeId(i));
+            assert_eq!(info, snap.info(NodeId(i)).unwrap());
+        }
+        assert!(shuffled.info(NodeId(1)).is_none());
     }
 
     #[test]

@@ -160,16 +160,18 @@ assert bench["pass"], f"incident gate failed: {bench}"
 PY
 test -s "$OBS_DIR/incident_report.md"
 
-# placement pin: the seed-1 placement digest of every perfbench workload
+# placement pin: the seed-1 placement digest of every perfbench workload,
+# and of campus-1k (the only sharded-snapshot workload) at seeds 2 and 3,
 # must stay the one recorded below, so any change to where jobs land
 # fails here (the digest does not depend on --seconds, so zero-second
 # runs suffice), and every checked pass must be correct
-for pin in iitk-trials:0x82cde29bcf0af299 campus-1k:0xf7518e28e542ead8 \
-    broker-stream:0x277a0dc8e37c8be5; do
-    workload="${pin%%:*}"
-    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 \
-        > "$OBS_DIR/perfbench-$workload.txt"
-    python3 - "$OBS_DIR/perfbench-$workload.txt" "$workload" "${pin#*:}" <<'PY'
+for pin in iitk-trials:1:0x82cde29bcf0af299 campus-1k:1:0xf7518e28e542ead8 \
+    broker-stream:1:0x277a0dc8e37c8be5 campus-1k:2:0x4ddde7e6106b76a8 \
+    campus-1k:3:0x428a3211e1512870; do
+    IFS=: read -r workload seed digest <<< "$pin"
+    python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 0 --trace 0 \
+        > "$OBS_DIR/perfbench-$workload-$seed.txt"
+    python3 - "$OBS_DIR/perfbench-$workload-$seed.txt" "$workload seed $seed" "$digest" <<'PY'
 import json, re, sys
 path, workload, want = sys.argv[1:]
 with open(path) as f:

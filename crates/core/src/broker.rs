@@ -34,6 +34,7 @@
 use crate::advisor::load_per_core;
 use crate::loads::Loads;
 use crate::request::{AllocError, Allocation, AllocationRequest};
+use crate::scalable::DECISION_SECONDS_BOUNDS;
 use crate::select::decide;
 use nlrm_monitor::ClusterSnapshot;
 use nlrm_obs::span::{SpanId, TraceId};
@@ -296,6 +297,19 @@ fn effective_priority(job: &QueuedJob, now: SimTime, aging_rate: f64) -> f64 {
         _ => 0.0,
     };
     job.class.base_priority() + aging_rate * waited
+}
+
+/// Record a scheduling pass's wall time, if it was timed (only under an
+/// installed observer). The name's `wall` fragment keeps it out of the
+/// flight recorder's replay digest.
+fn observe_tick_wall(started: Option<std::time::Instant>) {
+    if let Some(started) = started {
+        nlrm_obs::ctx::observe(
+            "broker_tick_wall_seconds",
+            DECISION_SECONDS_BOUNDS,
+            started.elapsed().as_secs_f64(),
+        );
+    }
 }
 
 /// Journal the job's arrival and open its root trace span (first
@@ -677,12 +691,17 @@ impl Broker {
     }
 
     /// One scheduling pass against a fresh snapshot: starts whatever fits
-    /// and reports what happened to every queued job it examined.
+    /// and reports what happened to every queued job it examined. Under an
+    /// installed observer, the pass's wall time lands in
+    /// `broker_tick_wall_seconds`.
     pub fn tick(&mut self, snap: &ClusterSnapshot) -> Vec<BrokerEvent> {
-        match self.config.mode {
+        let started = nlrm_obs::ctx::is_active().then(std::time::Instant::now);
+        let events = match self.config.mode {
             SchedMode::PerJob => self.tick_per_job(snap),
             SchedMode::Batched { max_per_tick } => self.tick_batched(snap, max_per_tick, None),
-        }
+        };
+        observe_tick_wall(started);
+        events
     }
 
     /// A batched scheduling pass against a caller-supplied derivation
@@ -692,13 +711,17 @@ impl Broker {
     /// request shape in the batch, so streams should be shape-uniform; the
     /// snapshot still supplies virtual time and the §6 per-core load
     /// check, and may legitimately disagree with an older `base` — nodes
-    /// missing from it defer the job instead of panicking.
+    /// missing from it defer the job instead of panicking. Its wall time is
+    /// recorded as [`Broker::tick`]'s is.
     pub fn tick_with_loads(&mut self, base: &Loads, snap: &ClusterSnapshot) -> Vec<BrokerEvent> {
+        let started = nlrm_obs::ctx::is_active().then(std::time::Instant::now);
         let k = match self.config.mode {
             SchedMode::Batched { max_per_tick } => max_per_tick,
             SchedMode::PerJob => usize::MAX,
         };
-        self.tick_batched(snap, k, Some(base))
+        let events = self.tick_batched(snap, k, Some(base));
+        observe_tick_wall(started);
+        events
     }
 
     /// The batched scheduling cycle. See the module docs for the shape of
@@ -1270,6 +1293,41 @@ mod tests {
             .unwrap();
         assert_eq!(decisions.count(), 2);
         assert_eq!(selections.count(), 2);
+    }
+
+    #[test]
+    fn each_tick_records_its_wall_time() {
+        let snap = snapshot(8, 3);
+        let base = Loads::derive(
+            &snap,
+            &req(4).compute_weights,
+            &req(4).network_weights,
+            Some(4),
+        )
+        .unwrap();
+        let obs = Obs::new();
+        let _g = install(&obs);
+        let count = || {
+            obs.metrics
+                .histogram_snapshot("broker_tick_wall_seconds")
+                .map_or(0, |h| h.count())
+        };
+        let per_job = BrokerConfig {
+            mode: SchedMode::PerJob,
+            ..no_defer()
+        };
+        let mut expected = 0;
+        for config in [no_defer(), per_job] {
+            let mut broker = Broker::new(config);
+            broker.submit("a", req(4)).unwrap();
+            broker.tick(&snap);
+            expected += 1;
+            assert_eq!(count(), expected);
+            // an empty queue is still a pass
+            broker.tick_with_loads(&base, &snap);
+            expected += 1;
+            assert_eq!(count(), expected);
+        }
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //!   only until `n` processes are covered — a bounded partial selection,
 //!   O(V + k log V) per start node. On a dense network load the costs are
 //!   one pass over the start node's contiguous matrix row and the
-//!   positional `cl`/`pc` arrays, and each heap entry carries its node's
-//!   `pc`, so neither building nor popping looks a node up by id.
+//!   positional `cl`/`pc` arrays. Heap entries are plain `u128` keys —
+//!   the cost's `total_cmp` bits, then the node id, then the node's
+//!   position — so integer comparison is the `(cost, id)` order and a pop
+//!   reads `usable`/`pc` at the position the key carries, with no lookup
+//!   by id.
 //! * On a tiered network-load representation
 //!   ([`TieredNl`](crate::tiered::TieredNl)), [`generate_all_candidates`]
 //!   exploits that every node of a foreign switch shares the same
@@ -68,35 +71,23 @@ impl Candidate {
     }
 }
 
-/// A `(cost, node)` entry ordered ascending by cost, ties by node id — the
-/// total order Algorithm 1's sort used, so heap pops reproduce it exactly.
-/// Carries the node's `pc` so a pop needs no lookup.
-struct CostEntry {
-    cost: f64,
-    node: NodeId,
-    pc: u32,
+/// Heap key of a `(cost, node)` entry at position `pos` of the usable
+/// arrays. The high 64 bits are the cost's bits under the transform behind
+/// `f64::total_cmp` (negatives get their magnitude bits flipped, then the
+/// sign bit is flipped so the signed order becomes the unsigned one); the
+/// node id sits below them and the position at the bottom. Integer order
+/// is therefore `(cost.total_cmp, id)` — the total order Algorithm 1's
+/// sort used, so heap pops reproduce it exactly — and a popped key names
+/// its position directly.
+fn alg1_key(cost: f64, node: NodeId, pos: usize) -> u128 {
+    let bits = cost.to_bits() as i64;
+    let ordered = (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ (1 << 63);
+    (ordered as u128) << 64 | (node.0 as u128) << 32 | pos as u128
 }
 
-impl PartialEq for CostEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for CostEntry {}
-
-impl Ord for CostEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.cost
-            .total_cmp(&other.cost)
-            .then(self.node.cmp(&other.node))
-    }
-}
-
-impl PartialOrd for CostEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The usable position a key from [`alg1_key`] was built with.
+fn alg1_key_pos(key: u128) -> usize {
+    key as u32 as usize
 }
 
 /// Spread `n − allocated` oversubscribed processes round-robin over the
@@ -180,12 +171,12 @@ pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f6
         _ => None,
     };
     // addition cost per usable node; A_v(v) = 0 so v always joins first
-    let entries: Vec<Reverse<CostEntry>> = loads
+    let keys: Vec<Reverse<u128>> = loads
         .usable
         .iter()
         .zip(&loads.cl)
-        .zip(&loads.pc)
-        .map(|((&u, &cl), &pc)| {
+        .enumerate()
+        .map(|(i, (&u, &cl))| {
             let cost = if u == v {
                 0.0
             } else {
@@ -195,13 +186,14 @@ pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f6
                 };
                 alpha * cl + beta * nl
             };
-            Reverse(CostEntry { cost, node: u, pc })
+            Reverse(alg1_key(cost, u, i))
         })
         .collect();
-    let mut heap = BinaryHeap::from(entries);
+    let mut heap = BinaryHeap::from(keys);
     let mut take = GreedyTake::new(n);
-    while let Some(Reverse(e)) = heap.pop() {
-        if !take.offer(e.node, e.pc) {
+    while let Some(Reverse(key)) = heap.pop() {
+        let i = alg1_key_pos(key);
+        if !take.offer(loads.usable[i], loads.pc[i]) {
             break;
         }
     }
@@ -635,6 +627,81 @@ mod tests {
                     let heap = generate_candidate(l, v, n, 0.3, 0.7);
                     let reference = generate_candidate_reference(l, v, n, 0.3, 0.7);
                     assert_eq!(heap, reference, "seed {seed} start {v} n {n}");
+                }
+            }
+        }
+
+        // all ties: with α = 0 and a uniform network load every node but
+        // the start costs the same, so the order is by id alone, on a
+        // restricted view (positions ≠ ids) and on one listed in
+        // descending id order (positions run against ids)
+        let l = loads(12, 5, None);
+        let uniform = Loads::from_parts(
+            l.usable.clone(),
+            l.cl.clone(),
+            nlrm_monitor::SymMatrix::new(12, 1.0),
+            l.pc.clone(),
+        );
+        let sub = uniform.restrict(|node, pc| if node.0 % 3 == 1 { 0 } else { pc });
+        assert!(sub.usable.iter().enumerate().any(|(i, n)| n.index() != i));
+        let reversed = Loads::from_parts(
+            sub.usable.iter().rev().copied().collect(),
+            sub.cl.iter().rev().copied().collect(),
+            sub.nl.clone(),
+            sub.pc.iter().rev().copied().collect(),
+        );
+        for l in [&sub, &reversed] {
+            for &v in &l.usable {
+                for n in [1, 7, 16, 40] {
+                    let heap = generate_candidate(l, v, n, 0.0, 0.7);
+                    let reference = generate_candidate_reference(l, v, n, 0.0, 0.7);
+                    assert_eq!(heap, reference, "all ties, start {v} n {n}");
+                    let mut rest = heap.nodes[1..].to_vec();
+                    rest.sort();
+                    assert_eq!(heap.nodes[1..], rest[..], "ties break by id");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn alg1_key_orders_by_total_cmp_then_id() {
+        let nan = f64::NAN;
+        let costs = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            1.5,
+            -1.5,
+            nan,
+            -nan,
+            f64::from_bits(nan.to_bits() | 1),
+            -f64::from_bits(nan.to_bits() | 1),
+        ];
+        // (id, position) pairs: equal, ascending together, and crossed
+        let slots = [(0u32, 0usize), (3, 1), (7, 2), (2, 9), (u32::MAX, 5)];
+        for &a in &costs {
+            for &(ia, pa) in &slots {
+                let ka = alg1_key(a, NodeId(ia), pa);
+                assert_eq!(alg1_key_pos(ka), pa);
+                for &b in &costs {
+                    for &(ib, pb) in &slots {
+                        let kb = alg1_key(b, NodeId(ib), pb);
+                        assert_eq!(
+                            ka.cmp(&kb),
+                            a.total_cmp(&b).then(ia.cmp(&ib)),
+                            "({a:e}, {ia}) vs ({b:e}, {ib})"
+                        );
+                    }
                 }
             }
         }

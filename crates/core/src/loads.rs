@@ -313,7 +313,7 @@ impl Loads {
 
         // --- Eq. 2: pairwise network load, rescaled the same way ---
         let pos = positions(&usable);
-        let (nl, norm, n_all) = derive_network_load(snap, &usable, &pos, network_weights, policy);
+        let (nl, norm, n_all) = derive_network_load(snap, &usable, network_weights, policy);
 
         // --- Eq. 3: effective processor count ---
         let pc: Vec<u32> = infos
@@ -610,11 +610,11 @@ impl NlNorm {
 /// Each value goes through the same float operations, and each sum adds
 /// the same values in the same order, as computing one whole column at a
 /// time would, so the result is bit-for-bit that of the column-wise
-/// formulation. The matrix is then written once, row by row.
+/// formulation. The last pass writes each value into its pair's
+/// upper-triangle cell of a zeroed matrix, which is then mirrored.
 fn derive_network_load(
     snap: &ClusterSnapshot,
     usable: &[NodeId],
-    pos: &[u32],
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
 ) -> (SymMatrix<f64>, NlNorm, f64) {
@@ -732,21 +732,42 @@ fn derive_network_load(
     drop(cbw);
     norm.pair_mean = combined_sum / pair_count as f64;
 
-    // pass 4: unit-mean rescale (skipped for an all-zero matrix) and Σ NL
+    // pass 4: unit-mean rescale (skipped for an all-zero matrix) and Σ NL;
+    // each value lands in the upper-triangle cell of its pair
+    let mut cells = vec![0.0f64; n * n];
     let mut n_all = 0.0;
-    for x in nl.iter_mut() {
-        if norm.pair_mean > 0.0 {
-            *x /= norm.pair_mean;
+    let mut k = 0;
+    for (i, &u) in usable.iter().enumerate() {
+        for &v in &usable[i + 1..] {
+            let mut x = nl[k];
+            if norm.pair_mean > 0.0 {
+                x /= norm.pair_mean;
+            }
+            n_all += x;
+            cells[u.index().min(v.index()) * n + u.index().max(v.index())] = x;
+            k += 1;
         }
-        n_all += *x;
     }
-
-    let tri = |i: usize, j: usize| i * (2 * m - i - 1) / 2 + j - i - 1;
-    let matrix = SymMatrix::from_fn(n, |u, v| match (position(pos, u), position(pos, v)) {
-        (Some(i), Some(j)) if i != j => nl[tri(i.min(j), i.max(j))],
-        _ => 0.0,
-    });
+    drop(nl);
+    mirror_upper_triangle(&mut cells, n);
+    let matrix = SymMatrix::from_row_major(n, cells);
     (matrix, norm, n_all)
+}
+
+/// Copy the strict upper triangle of the row-major `n × n` buffer `cells`
+/// into the lower one, a square tile at a time, so both the rows read and
+/// the columns written stay in cache.
+fn mirror_upper_triangle(cells: &mut [f64], n: usize) {
+    const TILE: usize = 32;
+    for r0 in (0..n).step_by(TILE) {
+        for c0 in (r0..n).step_by(TILE) {
+            for r in r0..(r0 + TILE).min(n) {
+                for c in (c0.max(r + 1))..(c0 + TILE).min(n) {
+                    cells[c * n + r] = cells[r * n + c];
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1022,6 +1043,37 @@ mod tests {
             }
         }
         assert!(sparse_cases > 0, "no case excluded a stale node");
+    }
+
+    #[test]
+    fn fused_derive_matches_the_oracle_on_nodes_out_of_id_order() {
+        // a hand-built snapshot may list its nodes in any order; the usable
+        // order then runs against the ids, and each pair's value must still
+        // land in both of its cells
+        let mut snap = snapshot(12, 3);
+        perturb(&mut snap, 3);
+        snap.nodes.reverse();
+        let weights = NetworkWeights::paper_default();
+        let policy = StalenessPolicy::default();
+        let (loads, norm) = Loads::derive_core(
+            &snap,
+            &ComputeWeights::paper_default(),
+            &weights,
+            None,
+            &policy,
+        )
+        .unwrap();
+        assert!(loads.usable.windows(2).all(|w| w[0] > w[1]));
+        let (want, want_norm) = reference_network_load(&snap, &loads.usable, &weights, &policy);
+        let got = dense(&loads);
+        let n = snap.latency.len() as u32;
+        for u in 0..n {
+            for v in 0..n {
+                let (u, v) = (NodeId(u), NodeId(v));
+                assert_bits_eq(got.get(u, v), want.get(u, v), "NL cell");
+            }
+        }
+        assert_bits_eq(norm.pair_mean, want_norm.pair_mean, "pair_mean");
     }
 
     #[test]

@@ -22,14 +22,16 @@ impl<T: Copy> SymMatrix<T> {
         }
     }
 
-    /// An `n × n` matrix built row by row, writing each cell once: cell
-    /// `(u, v)` holds `f(min(u, v), max(u, v))`, so the result is
-    /// symmetric by construction.
-    pub fn from_fn(n: usize, mut f: impl FnMut(NodeId, NodeId) -> T) -> Self {
-        let mut data = Vec::with_capacity(n * n);
-        for u in 0..n as u32 {
-            data.extend((0..n as u32).map(|v| f(NodeId(u.min(v)), NodeId(u.max(v)))));
-        }
+    /// An `n × n` matrix from its cells in row-major order: `data[u·n + v]`
+    /// is cell `(u, v)`. The caller guarantees symmetry (`data[u·n + v] ==
+    /// data[v·n + u]`); it is not checked here, since builders that write
+    /// whole rows at once would pay an O(n²) pass for it.
+    ///
+    /// # Panics
+    ///
+    /// If `data` does not hold exactly `n²` cells.
+    pub fn from_row_major(n: usize, data: Vec<T>) -> Self {
+        assert_eq!(data.len(), n * n, "a {n}×{n} matrix needs {} cells", n * n);
         SymMatrix { n, data }
     }
 
@@ -113,17 +115,25 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_matches_cell_by_cell_sets() {
-        let f = |u: NodeId, v: NodeId| (u.0 * 10 + v.0) as f64;
-        let built = SymMatrix::from_fn(4, f);
+    fn from_row_major_matches_cell_by_cell_sets() {
+        let f = |u: u32, v: u32| (u.min(v) * 10 + u.max(v)) as f64;
+        let data = (0..4).flat_map(|u| (0..4).map(move |v| f(u, v))).collect();
+        let built = SymMatrix::from_row_major(4, data);
         let mut set = SymMatrix::new(4, 0.0);
         for u in 0..4 {
             for v in u..4 {
-                set.set(NodeId(u), NodeId(v), f(NodeId(u), NodeId(v)));
+                set.set(NodeId(u), NodeId(v), f(u, v));
             }
         }
         assert_eq!(built, set);
         assert_eq!(built.get(NodeId(3), NodeId(1)), 13.0);
+        assert_eq!(built.row(NodeId(1)), &[1.0, 11.0, 12.0, 13.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 3×3 matrix needs 9 cells")]
+    fn from_row_major_rejects_a_short_buffer() {
+        SymMatrix::from_row_major(3, vec![0.0; 8]);
     }
 
     #[test]

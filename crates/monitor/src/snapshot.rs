@@ -175,15 +175,59 @@ fn read_estimate(
     }
 }
 
-/// Where a sharded snapshot's pair value comes from.
-#[derive(Clone, Copy)]
-enum PairSource {
-    Diagonal,
-    Unmeasured,
-    /// `(shard record, packed index)` of an intra-shard pair.
-    Intra(usize, usize),
-    /// Estimated cross-shard point values `(latency s, avail bps, peak bps)`.
-    Cross(f64, f64, f64),
+/// [`ClusterSnapshot::assemble_sharded`]'s home of a node no shard record
+/// lists.
+const NO_SHARD: usize = usize::MAX;
+
+/// One pair matrix of a sharded snapshot, built row by row.
+///
+/// `home[v]` is node `v`'s `(shard record, member index)`. Each record
+/// gets one template row: every column holds the cross value between the
+/// record and the column's home record (`cross(a, b)`, `None` when the
+/// estimate does not cover the pair), or `unmeasured` for a column with no
+/// home. A member's row copies its record's template, then takes the
+/// record's packed values (`intra(record, packed index)`) in the columns
+/// of the members that call the record home, and `diagonal` on its own
+/// column. A node with no home gets the unmeasured row. Both endpoints of
+/// a pair read the same value, so the matrix is symmetric.
+fn sharded_matrix<T: Copy>(
+    shards: &[ShardRecord],
+    home: &[(usize, usize)],
+    diagonal: T,
+    unmeasured: T,
+    cross: impl Fn(usize, usize) -> Option<T>,
+    intra: impl Fn(&ShardRecord, usize) -> T,
+) -> SymMatrix<T> {
+    let n = home.len();
+    let templates: Vec<Vec<T>> = (0..shards.len())
+        .map(|k| {
+            home.iter()
+                .map(|&(kv, _)| match kv {
+                    NO_SHARD => unmeasured,
+                    kv if kv == k => unmeasured,
+                    kv => cross(k, kv).unwrap_or(unmeasured),
+                })
+                .collect()
+        })
+        .collect();
+    let mut data = Vec::with_capacity(n * n);
+    for (u, &(k, i)) in home.iter().enumerate() {
+        let start = data.len();
+        if k == NO_SHARD {
+            data.resize(start + n, unmeasured);
+        } else {
+            data.extend_from_slice(&templates[k]);
+            let row = &mut data[start..];
+            let rec = &shards[k];
+            for (j, &v) in rec.members.iter().enumerate() {
+                if j != i && home.get(v.index()) == Some(&(k, j)) {
+                    row[v.index()] = intra(rec, rec.tri(i.min(j), i.max(j)));
+                }
+            }
+        }
+        data[start + u] = diagonal;
+    }
+    SymMatrix::from_row_major(n, data)
 }
 
 impl ClusterSnapshot {
@@ -264,9 +308,11 @@ impl ClusterSnapshot {
     /// never treats inferred data as fresher than its inputs.
     ///
     /// Each matrix is written once, row by row: every node is mapped to
-    /// its (shard record, member index), and the cross-shard values are
-    /// looked up per pair of shard records. Shards partition the nodes; a
-    /// node listed by several records belongs to the last one listed.
+    /// its (shard record, member index), the cross-shard values are looked
+    /// up per pair of shard records, and each member's row is a copy of
+    /// its record's template row with the intra-shard columns patched in.
+    /// Shards partition the nodes; a node listed by several records
+    /// belongs to the last one listed.
     pub fn assemble_sharded(
         store: &SharedStore,
         n: usize,
@@ -276,7 +322,6 @@ impl ClusterSnapshot {
         let shards = read_shards(store, now)?;
         let (est, est_age) = read_estimate(store, now)?;
 
-        const NO_SHARD: usize = usize::MAX;
         let mut home = vec![(NO_SHARD, 0usize); n];
         let mut latency_row_age = vec![None; n];
         let mut bandwidth_row_age = vec![None; n];
@@ -295,9 +340,10 @@ impl ClusterSnapshot {
             }
         }
 
-        // cross-shard point values per pair of shard records
+        // cross-shard point values (latency s, avail bps, peak bps) per
+        // pair of shard records
         let k_count = shards.len();
-        let mut cross = vec![PairSource::Unmeasured; k_count * k_count];
+        let mut cross = vec![None; k_count * k_count];
         if let Some(est) = &est {
             for (a, sa) in shards.iter().enumerate() {
                 for (b, sb) in shards.iter().enumerate().skip(a + 1) {
@@ -307,44 +353,37 @@ impl ClusterSnapshot {
                     };
                     let avail = est.avail_bps(s, t).unwrap_or(0.0);
                     let pk = est.peak_bps(s, t).unwrap_or(0.0);
-                    let src = PairSource::Cross(lat.point, avail, pk);
-                    cross[a * k_count + b] = src;
-                    cross[b * k_count + a] = src;
+                    cross[a * k_count + b] = Some((lat.point, avail, pk));
+                    cross[b * k_count + a] = cross[a * k_count + b];
                 }
             }
         }
-        let source = |u: NodeId, v: NodeId| {
-            if u == v {
-                return PairSource::Diagonal;
-            }
-            let ((ku, iu), (kv, iv)) = (home[u.index()], home[v.index()]);
-            if ku == NO_SHARD || kv == NO_SHARD {
-                PairSource::Unmeasured
-            } else if ku == kv {
-                PairSource::Intra(ku, shards[ku].tri(iu.min(iv), iu.max(iv)))
-            } else {
-                cross[ku * k_count + kv]
-            }
-        };
+        let cross = |a: usize, b: usize| cross[a * k_count + b];
 
-        let latency = SymMatrix::from_fn(n, |u, v| match source(u, v) {
-            PairSource::Diagonal => LatencyStat::constant(0.0),
-            PairSource::Unmeasured => LatencyStat::constant(f64::INFINITY),
-            PairSource::Intra(k, p) => LatencyStat::constant(shards[k].lat_s[p]),
-            PairSource::Cross(lat, _, _) => LatencyStat::constant(lat),
-        });
-        let bandwidth = SymMatrix::from_fn(n, |u, v| match source(u, v) {
-            PairSource::Diagonal => f64::INFINITY,
-            PairSource::Unmeasured => 0.0,
-            PairSource::Intra(k, p) => shards[k].avail_bps[p],
-            PairSource::Cross(_, avail, _) => avail,
-        });
-        let peak = SymMatrix::from_fn(n, |u, v| match source(u, v) {
-            PairSource::Diagonal => f64::INFINITY,
-            PairSource::Unmeasured => 0.0,
-            PairSource::Intra(k, p) => shards[k].peak_bps[p],
-            PairSource::Cross(_, _, pk) => pk,
-        });
+        let latency = sharded_matrix(
+            &shards,
+            &home,
+            LatencyStat::constant(0.0),
+            LatencyStat::constant(f64::INFINITY),
+            |a, b| cross(a, b).map(|(lat, _, _)| LatencyStat::constant(lat)),
+            |rec, p| LatencyStat::constant(rec.lat_s[p]),
+        );
+        let bandwidth = sharded_matrix(
+            &shards,
+            &home,
+            f64::INFINITY,
+            0.0,
+            |a, b| cross(a, b).map(|(_, avail, _)| avail),
+            |rec, p| rec.avail_bps[p],
+        );
+        let peak = sharded_matrix(
+            &shards,
+            &home,
+            f64::INFINITY,
+            0.0,
+            |a, b| cross(a, b).map(|(_, _, pk)| pk),
+            |rec, p| rec.peak_bps[p],
+        );
 
         Ok(ClusterSnapshot {
             taken_at: now,
@@ -611,6 +650,108 @@ mod tests {
         let want = assemble_sharded_reference(&dead, n, now_dead);
         assert_same_snapshot(&got, &want, "dead nodes");
         assert!(!got.usable_nodes().contains(&NodeId(17)));
+    }
+
+    #[test]
+    fn a_node_listed_by_two_shard_records_belongs_to_the_later_one() {
+        let (store, n, now) = sharded_store(&[]);
+        let shard_paths = store.list_prefix("shard/");
+        assert!(shard_paths.len() >= 3, "expected several shard records");
+        let records = read_shards(&store, now).unwrap();
+        let (first, last) = (&records[0], &records[records.len() - 1]);
+        let node = first.members[1];
+        let beyond = NodeId(n as u32 + 5);
+
+        // re-encode the last-listed record with `node` and an out-of-range
+        // id appended; every pair involving an appended member gets a
+        // value no measured pair has
+        let old_m = last.members.len();
+        let mut members = last.members.clone();
+        members.extend([node, beyond]);
+        let m = members.len();
+        let (mut lat_s, mut avail_bps, mut peak_bps) = (vec![], vec![], vec![]);
+        for i in 0..m {
+            for j in (i + 1)..m {
+                if j < old_m {
+                    let k = last.tri(i, j);
+                    lat_s.push(last.lat_s[k]);
+                    avail_bps.push(last.avail_bps[k]);
+                    peak_bps.push(last.peak_bps[k]);
+                } else {
+                    lat_s.push(1.0 + i as f64);
+                    avail_bps.push(7.0 + i as f64);
+                    peak_bps.push(70.0 + i as f64);
+                }
+            }
+        }
+        let path = &shard_paths[shard_paths.len() - 1];
+        let rec = store.get(path).unwrap();
+        let Ok(MonitorRecord::ShardNl {
+            shard,
+            epoch,
+            taken_at,
+            probe_bytes,
+            ..
+        }) = decode(&rec.data)
+        else {
+            panic!("{path} is not a shard record");
+        };
+        assert_eq!(shard, last.shard);
+        let reencoded = crate::codec::encode(&MonitorRecord::ShardNl {
+            shard,
+            epoch,
+            taken_at,
+            members,
+            lat_s,
+            avail_bps,
+            peak_bps,
+            probe_bytes,
+        });
+        store.put(path.clone(), rec.written_at, reencoded);
+
+        let snap = ClusterSnapshot::assemble_sharded(&store, n, now).unwrap();
+        let (est, est_age) = read_estimate(&store, now).unwrap();
+        let est = est.expect("warmed store has an inter estimate");
+        let lat = |u: NodeId, v: NodeId| snap.latency.get(u, v).instant;
+        let bw = |u: NodeId, v: NodeId| snap.bandwidth_bps.get(u, v);
+        let pk = |u: NodeId, v: NodeId| snap.peak_bandwidth_bps.get(u, v);
+
+        // intra values: the later record's, for every in-range member
+        for (i, &u) in last.members.iter().enumerate() {
+            assert_eq!(lat(node, u), 1.0 + i as f64, "lat({node},{u})");
+            assert_eq!(bw(node, u), 7.0 + i as f64, "bw({node},{u})");
+            assert_eq!(pk(u, node), 70.0 + i as f64, "peak({u},{node})");
+        }
+        // cross values: from the later record's shard, the earlier record's
+        // members included
+        for rec in &records[..records.len() - 1] {
+            let (s, t) = (last.shard, rec.shard);
+            let want_lat = est.latency_s(s, t).unwrap().point;
+            let want_avail = est.avail_bps(s, t).unwrap_or(0.0);
+            let want_peak = est.peak_bps(s, t).unwrap_or(0.0);
+            for &u in rec.members.iter().filter(|&&u| u != node) {
+                assert_eq!(lat(node, u), want_lat, "lat({node},{u})");
+                assert_eq!(bw(u, node), want_avail, "bw({u},{node})");
+                assert_eq!(pk(node, u), want_peak, "peak({node},{u})");
+            }
+        }
+        // diagonal conventions, and the row ages of the later record
+        assert_eq!(snap.latency.get(node, node), LatencyStat::constant(0.0));
+        assert_eq!(bw(node, node), f64::INFINITY);
+        assert_eq!(pk(node, node), f64::INFINITY);
+        let worst = last.age.max(est_age.unwrap());
+        assert_eq!(snap.latency_row_age[node.index()], Some(worst));
+        assert_eq!(snap.bandwidth_row_age[node.index()], Some(worst));
+        // the out-of-range id is skipped, and all three stay symmetric
+        assert_eq!(snap.latency.len(), n);
+        for u in 0..n as u32 {
+            for v in 0..n as u32 {
+                let (u, v) = (NodeId(u), NodeId(v));
+                assert_eq!(snap.latency.get(u, v), snap.latency.get(v, u));
+                assert_eq!(bw(u, v).to_bits(), bw(v, u).to_bits());
+                assert_eq!(pk(u, v).to_bits(), pk(v, u).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -685,6 +685,86 @@ mod tests {
         assert!(Record::decode(&bad).is_err());
     }
 
+    /// Every line tag `decode` knows, for building near-valid input.
+    const TAGS: &[&str] = &[
+        "label",
+        "seed",
+        "nodes",
+        "checkpoints",
+        "opts",
+        "arrival",
+        "fault",
+        "stream",
+        "jevent",
+        "journal_len",
+        "metrics",
+        "evidence",
+        "etraces",
+        "etail",
+        "ehealth",
+        "end",
+    ];
+
+    /// Characters the record format gives meaning to, plus some it does
+    /// not, including multi-byte ones.
+    const ALPHABET: &[char] = &[
+        ' ', ',', '=', '\n', '0', '1', '9', 'f', 'x', '-', 't', 'é', '∞',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, read as text, with and without a valid magic
+        /// line, never panic the decoder; any `Ok`/`Err` is fine.
+        #[test]
+        fn decode_never_panics_on_arbitrary_text(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = Record::decode(&text);
+            let _ = Record::decode(&format!("nlrm-record v{RECORD_VERSION}\n{text}"));
+        }
+
+        /// Lines of known tags followed by tokens from the format's own
+        /// alphabet reach every tag's argument parser.
+        #[test]
+        fn decode_never_panics_on_tag_soup(
+            lines in proptest::collection::vec(
+                (0..TAGS.len(), proptest::collection::vec(0..ALPHABET.len(), 0..24)),
+                0..16,
+            ),
+        ) {
+            let mut text = format!("nlrm-record v{RECORD_VERSION}\n");
+            for (tag, rest) in &lines {
+                text.push_str(TAGS[*tag]);
+                text.push(' ');
+                text.extend(rest.iter().map(|&c| ALPHABET[c]));
+                text.push('\n');
+            }
+            let _ = Record::decode(&text);
+        }
+
+        /// Truncations and single-byte flips of a valid encoding never
+        /// panic the decoder.
+        #[test]
+        fn decode_never_panics_on_damaged_records(
+            cut in 0usize..4096,
+            at in 0usize..4096,
+            mask in 1u8..=255,
+        ) {
+            let enc = sample_record().encode();
+            let mut end = cut % (enc.len() + 1);
+            while !enc.is_char_boundary(end) {
+                end -= 1;
+            }
+            let _ = Record::decode(&enc[..end]);
+            let mut bytes = enc.into_bytes();
+            let i = at % bytes.len();
+            bytes[i] ^= mask;
+            let _ = Record::decode(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
     #[test]
     fn disabled_recorder_is_inert() {
         let r = Recorder::new();

@@ -164,21 +164,32 @@ test -s "$OBS_DIR/incident_report.md"
 # and of campus-1k (the only sharded-snapshot workload) at seeds 2 and 3,
 # must stay the one recorded below, so any change to where jobs land
 # fails here (the digest does not depend on --seconds, so zero-second
-# runs suffice), and every checked pass must be correct
-for pin in iitk-trials:1:0x82cde29bcf0af299 campus-1k:1:0xf7518e28e542ead8 \
-    broker-stream:1:0x277a0dc8e37c8be5 campus-1k:2:0x4ddde7e6106b76a8 \
-    campus-1k:3:0x428a3211e1512870; do
-    IFS=: read -r workload seed digest <<< "$pin"
+# runs suffice), and every checked pass must be correct. The mean virtual
+# job runtime is pinned too, at full precision: it is what the MPI rate
+# solver and the cluster's link model produce for those placements, which
+# the digest covers only indirectly.
+for pin in iitk-trials:1:0x82cde29bcf0af299:3.8929682489722186 \
+    campus-1k:1:0xf7518e28e542ead8:0.820485538169201 \
+    broker-stream:1:0x277a0dc8e37c8be5:959.5008333333334 \
+    campus-1k:2:0x4ddde7e6106b76a8:0.8503434386176795 \
+    campus-1k:3:0x428a3211e1512870:0.834261739053114; do
+    IFS=: read -r workload seed digest runtime <<< "$pin"
     python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 0 --trace 0 \
         > "$OBS_DIR/perfbench-$workload-$seed.txt"
-    python3 - "$OBS_DIR/perfbench-$workload-$seed.txt" "$workload seed $seed" "$digest" <<'PY'
+    python3 - "$OBS_DIR/perfbench-$workload-$seed.txt" "$workload seed $seed" "$digest" \
+        "$runtime" <<'PY'
 import json, re, sys
-path, workload, want = sys.argv[1:]
+path, workload, want, want_runtime = sys.argv[1:]
 with open(path) as f:
     text = f.read()
 m = re.search(r"^# virtual digest=(0x[0-9a-f]+)", text, re.M)
 assert m, f"{workload}: no placement digest in the report"
 assert m.group(1) == want, f"{workload}: placement digest {m.group(1)}, want {want}"
+m = re.search(r"^# virtual .* job_runtime_s\.mean=(\S+)", text, re.M)
+assert m, f"{workload}: no job_runtime_s.mean in the report"
+assert m.group(1) == want_runtime, (
+    f"{workload}: job_runtime_s.mean {m.group(1)}, want {want_runtime}"
+)
 result = json.loads(text.strip().splitlines()[-1])
 assert result["correct"] and result["failed"] == 0, f"{workload}: {result}"
 PY

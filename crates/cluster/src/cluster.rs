@@ -9,6 +9,17 @@ use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::{LinkId, NodeId, Topology};
 use rand::rngs::StdRng;
 
+/// One combined latency + bandwidth probe result for a node pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairProbe {
+    /// Round-trip latency, seconds.
+    pub latency_s: f64,
+    /// Instantaneous available bandwidth, bits/s.
+    pub avail_bps: f64,
+    /// Peak (zero-load) bandwidth, bits/s.
+    pub peak_bps: f64,
+}
+
 /// A simulated shared cluster.
 ///
 /// Owns the topology, per-node background dynamics, and per-link background
@@ -218,18 +229,46 @@ impl ClusterSim {
     /// transfer): the true available bandwidth blurred by measurement noise,
     /// clamped to the physical capacity.
     pub fn measure_bandwidth_bps(&mut self, u: NodeId, v: NodeId) -> f64 {
-        let truth = self.network.available_bandwidth_bps(&self.topo, u, v);
-        if truth.is_infinite() {
-            return truth;
-        }
-        let peak = self.network.peak_bandwidth_bps(&self.topo, u, v);
-        (truth * self.noise_factor()).min(peak)
+        self.probe_bandwidth(u, v).0
     }
 
     /// Probe P2P latency like `LatencyD` (a ping-pong): truth × noise.
     pub fn measure_latency_s(&mut self, u: NodeId, v: NodeId) -> f64 {
         let truth = self.network.latency_s(&self.topo, u, v);
         truth * self.noise_factor()
+    }
+
+    /// [`measure_bandwidth_bps`](Self::measure_bandwidth_bps) and
+    /// [`peak_bandwidth_bps`](Self::peak_bandwidth_bps) from one route:
+    /// `(measured, peak)`, with the noise draw `measure_bandwidth_bps`
+    /// makes.
+    pub fn probe_bandwidth(&mut self, u: NodeId, v: NodeId) -> (f64, f64) {
+        let route = self.topo.route(u, v);
+        self.noisy_bandwidth(&route)
+    }
+
+    /// [`measure_latency_s`](Self::measure_latency_s), then
+    /// [`probe_bandwidth`](Self::probe_bandwidth), from one route: the same
+    /// values and the same noise draws, in the same order, as those calls.
+    /// `u == v` draws the latency noise and no bandwidth noise.
+    pub fn probe_pair(&mut self, u: NodeId, v: NodeId) -> PairProbe {
+        let route = self.topo.route(u, v);
+        let latency_s = self.network.route_latency_s(&self.topo, &route) * self.noise_factor();
+        let (avail_bps, peak_bps) = self.noisy_bandwidth(&route);
+        PairProbe {
+            latency_s,
+            avail_bps,
+            peak_bps,
+        }
+    }
+
+    fn noisy_bandwidth(&mut self, route: &[LinkId]) -> (f64, f64) {
+        let truth = self.network.route_available_bps(&self.topo, route);
+        let peak = self.network.route_peak_bps(&self.topo, route);
+        if truth.is_infinite() {
+            return (truth, peak);
+        }
+        ((truth * self.noise_factor()).min(peak), peak)
     }
 
     /// Raw access to the network layer (ablations and tests).
@@ -255,6 +294,7 @@ impl ClusterSim {
 mod tests {
     use super::*;
     use crate::iitk;
+    use nlrm_topology::SwitchId;
 
     fn small() -> ClusterSim {
         iitk::small_cluster(8, 42)
@@ -339,6 +379,113 @@ mod tests {
         for _ in 0..200 {
             assert!(c.measure_bandwidth_bps(NodeId(0), NodeId(4)) <= 1e9 + 1.0);
         }
+    }
+
+    /// The path-per-call probes the combined ones replaced, kept as their
+    /// oracle: each fold resolves its own path, and `measure_bandwidth_bps`
+    /// resolves it twice.
+    mod oracle {
+        use super::*;
+        use crate::network::QUEUE_FACTOR;
+
+        fn latency_s(c: &ClusterSim, u: NodeId, v: NodeId) -> f64 {
+            c.topo
+                .path(u, v)
+                .into_iter()
+                .map(|l| {
+                    let base = c.topo.link(l).params.latency_s;
+                    let util = c.network.total_util(l);
+                    base * (1.0 + QUEUE_FACTOR * (util / (1.0 - util)).min(20.0))
+                })
+                .sum()
+        }
+
+        fn available_bps(c: &ClusterSim, u: NodeId, v: NodeId) -> f64 {
+            if u == v {
+                return f64::INFINITY;
+            }
+            c.topo
+                .path(u, v)
+                .into_iter()
+                .map(|l| c.network.residual_bps(&c.topo, l))
+                .fold(f64::INFINITY, f64::min)
+        }
+
+        pub fn peak_bps(c: &ClusterSim, u: NodeId, v: NodeId) -> f64 {
+            if u == v {
+                return f64::INFINITY;
+            }
+            c.topo
+                .path(u, v)
+                .into_iter()
+                .map(|l| c.topo.link(l).params.capacity_bps)
+                .fold(f64::INFINITY, f64::min)
+        }
+
+        pub fn measure_bandwidth_bps(c: &mut ClusterSim, u: NodeId, v: NodeId) -> f64 {
+            let truth = available_bps(c, u, v);
+            if truth.is_infinite() {
+                return truth;
+            }
+            let peak = peak_bps(c, u, v);
+            (truth * c.noise_factor()).min(peak)
+        }
+
+        pub fn measure_latency_s(c: &mut ClusterSim, u: NodeId, v: NodeId) -> f64 {
+            let truth = latency_s(c, u, v);
+            truth * c.noise_factor()
+        }
+    }
+
+    /// A campus cluster with two congested trunks and a saturated access
+    /// link, so queueing and the residual floor both show in the probes.
+    fn congested_campus() -> ClusterSim {
+        let mut c = iitk::campus(3, 4, 9);
+        c.advance_to(SimTime::from_secs(900));
+        let trunks: Vec<LinkId> = (0..2)
+            .filter_map(|s| c.topo.uplink(SwitchId(s + 1)))
+            .collect();
+        for l in trunks {
+            c.add_job_util(l, 0.8);
+        }
+        let access = c.topo.access_link(NodeId(5));
+        c.add_job_util(access, 2.0);
+        c
+    }
+
+    #[test]
+    fn combined_probes_match_the_separate_calls_bit_for_bit() {
+        let mut old = congested_campus();
+        let mut new = old.clone();
+        let n = old.num_nodes() as u32;
+        let bits = |x: f64| x.to_bits();
+        for u in 0..n {
+            // v == u included: latency noise drawn, bandwidth noise not
+            for v in u..n {
+                let (u, v) = (NodeId(u), NodeId(v));
+                let want = PairProbe {
+                    latency_s: oracle::measure_latency_s(&mut old, u, v),
+                    avail_bps: oracle::measure_bandwidth_bps(&mut old, u, v),
+                    peak_bps: oracle::peak_bps(&old, u, v),
+                };
+                let got = new.probe_pair(u, v);
+                assert_eq!(bits(got.latency_s), bits(want.latency_s), "{u}-{v}");
+                assert_eq!(bits(got.avail_bps), bits(want.avail_bps), "{u}-{v}");
+                assert_eq!(bits(got.peak_bps), bits(want.peak_bps), "{u}-{v}");
+
+                let want_bw = oracle::measure_bandwidth_bps(&mut old, u, v);
+                let want_peak = oracle::peak_bps(&old, u, v);
+                let (bw, peak) = new.probe_bandwidth(u, v);
+                assert_eq!((bits(bw), bits(peak)), (bits(want_bw), bits(want_peak)));
+
+                let want_lat = oracle::measure_latency_s(&mut old, u, v);
+                assert_eq!(bits(new.measure_latency_s(u, v)), bits(want_lat));
+                let want_bw = oracle::measure_bandwidth_bps(&mut old, u, v);
+                assert_eq!(bits(new.measure_bandwidth_bps(u, v)), bits(want_bw));
+            }
+        }
+        // both clones consumed the same number of noise draws
+        assert_eq!(bits(old.noise_factor()), bits(new.noise_factor()));
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub mod node;
 pub mod profiles;
 pub mod trace;
 
-pub use cluster::ClusterSim;
+pub use cluster::{ClusterSim, PairProbe};
 pub use node::{NodeSpec, NodeState};
 pub use profiles::ClusterProfile;

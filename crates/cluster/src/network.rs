@@ -19,7 +19,7 @@ const UTIL_CAP: f64 = 0.97;
 
 /// Queueing-delay inflation factor: per-hop latency grows as
 /// `1 + QUEUE_FACTOR · u/(1−u)` with utilization `u` (M/M/1-like shape).
-const QUEUE_FACTOR: f64 = 3.0;
+pub(crate) const QUEUE_FACTOR: f64 = 3.0;
 
 /// The stochastic background traffic on one link.
 #[derive(Debug, Clone)]
@@ -169,21 +169,36 @@ impl NetworkSim {
     /// Effective available bandwidth between two nodes: the bottleneck
     /// residual along the tree path (bits/s). `u == v` → +∞ (no network).
     pub fn available_bandwidth_bps(&self, topo: &Topology, u: NodeId, v: NodeId) -> f64 {
-        if u == v {
-            return f64::INFINITY;
-        }
-        topo.path(u, v)
-            .into_iter()
-            .map(|l| self.residual_bps(topo, l))
-            .fold(f64::INFINITY, f64::min)
+        self.route_available_bps(topo, &topo.route(u, v))
     }
 
     /// Current latency between two nodes in seconds: base propagation plus
     /// congestion-dependent queueing on every hop.
     pub fn latency_s(&self, topo: &Topology, u: NodeId, v: NodeId) -> f64 {
-        topo.path(u, v)
-            .into_iter()
-            .map(|l| {
+        self.route_latency_s(topo, &topo.route(u, v))
+    }
+
+    /// Peak (zero-load) bandwidth between two nodes: the raw bottleneck
+    /// capacity. This is the paper's "peak bandwidth" used to form the
+    /// complement of available bandwidth.
+    pub fn peak_bandwidth_bps(&self, topo: &Topology, u: NodeId, v: NodeId) -> f64 {
+        self.route_peak_bps(topo, &topo.route(u, v))
+    }
+
+    /// [`available_bandwidth_bps`](Self::available_bandwidth_bps) over an
+    /// already resolved route (+∞ for the empty route).
+    pub(crate) fn route_available_bps(&self, topo: &Topology, route: &[LinkId]) -> f64 {
+        route
+            .iter()
+            .map(|&l| self.residual_bps(topo, l))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// [`latency_s`](Self::latency_s) over an already resolved route.
+    pub fn route_latency_s(&self, topo: &Topology, route: &[LinkId]) -> f64 {
+        route
+            .iter()
+            .map(|&l| {
                 let base = topo.link(l).params.latency_s;
                 let util = self.total_util(l);
                 base * (1.0 + QUEUE_FACTOR * (util / (1.0 - util)).min(20.0))
@@ -191,16 +206,12 @@ impl NetworkSim {
             .sum()
     }
 
-    /// Peak (zero-load) bandwidth between two nodes: the raw bottleneck
-    /// capacity. This is the paper's "peak bandwidth" used to form the
-    /// complement of available bandwidth.
-    pub fn peak_bandwidth_bps(&self, topo: &Topology, u: NodeId, v: NodeId) -> f64 {
-        if u == v {
-            return f64::INFINITY;
-        }
-        topo.path(u, v)
-            .into_iter()
-            .map(|l| topo.link(l).params.capacity_bps)
+    /// [`peak_bandwidth_bps`](Self::peak_bandwidth_bps) over an already
+    /// resolved route (+∞ for the empty route).
+    pub(crate) fn route_peak_bps(&self, topo: &Topology, route: &[LinkId]) -> f64 {
+        route
+            .iter()
+            .map(|&l| topo.link(l).params.capacity_bps)
             .fold(f64::INFINITY, f64::min)
     }
 }

@@ -6,9 +6,15 @@ use nlrm_core::candidate::{generate_all_candidates, generate_candidate};
 use nlrm_core::loads::{effective_pc, Loads};
 use nlrm_core::saw::{normalize_sum, saw_scores, unidirectional, Column, Criterion};
 use nlrm_core::select::{group_cost, select_best};
+use nlrm_core::{ComputeWeights, NetworkWeights, NlRep, StalenessPolicy};
+use nlrm_monitor::codec::{decode, MonitorRecord};
+use nlrm_monitor::daemons::DaemonConfig;
 use nlrm_monitor::SymMatrix;
-use nlrm_topology::NodeId;
+use nlrm_monitor::{ClusterSnapshot, InterEstimate, MonitorRuntime, MonitorTopo, ShardConfig};
+use nlrm_sim_core::time::{Duration, SimTime};
+use nlrm_topology::{NodeId, SwitchIndex};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Strategy: a synthetic `Loads` with n usable nodes, arbitrary CL values,
 /// an arbitrary symmetric NL matrix, and per-node capacities.
@@ -150,6 +156,106 @@ proptest! {
             let cost = group_cost(&loads, &prefix, alpha, beta);
             prop_assert!(cost + 1e-12 >= prev);
             prev = cost;
+        }
+    }
+}
+
+/// A warmed sharded snapshot of the IIT-K cluster, its switch index, and
+/// the inter-shard estimate its monitor published, as a decoded record
+/// whose bands the property below rewrites.
+fn sharded_fixture() -> &'static (ClusterSnapshot, SwitchIndex, MonitorRecord) {
+    static FIXTURE: OnceLock<(ClusterSnapshot, SwitchIndex, MonitorRecord)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let mut cluster = nlrm_cluster::iitk::iitk_cluster(5);
+        let index = cluster.topology().switch_index();
+        let mut rt = MonitorRuntime::with_topo(
+            &cluster,
+            DaemonConfig::default(),
+            MonitorTopo::Sharded(ShardConfig::new(index.clone())),
+        );
+        let snap = rt
+            .warm_snapshot(&mut cluster, Duration::from_secs(360))
+            .expect("a warmed sharded monitor has a snapshot");
+        let est = rt
+            .inter_estimate()
+            .expect("sharded run publishes an estimate");
+        let record = decode(&est.to_record(0, SimTime::ZERO)).expect("own record decodes");
+        (snap, index, record)
+    })
+}
+
+/// One band around `point`: kind 0 is zero width, kind 1 a finite band
+/// `[point·(1 − lo), point·(1 + hi)]`, kind 2 the same lower end with an
+/// infinite upper end.
+fn band_around(point: f64, (lo, kind, hi): (f64, u32, f64)) -> (f64, f64) {
+    match kind {
+        0 => (point, point),
+        1 => (point * (1.0 - lo), point * (1.0 + hi)),
+        _ => (point * (1.0 - lo), f64::INFINITY),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whatever width the estimator's bands have (zero, finite, or an
+    /// infinite upper end), `derive_sharded` yields finite point NL values,
+    /// finite lower bounds with `lo ≤ point ≤ hi`, finite pruning bounds,
+    /// and an upper bound that is never NaN and is infinite only where an
+    /// input band's upper end was.
+    #[test]
+    fn derive_sharded_stays_finite_for_any_band_width(
+        widths in proptest::collection::vec((0.0f64..=1.0, 0u32..3, 0.0f64..10.0), 8),
+    ) {
+        let (snap, index, record) = sharded_fixture();
+        let mut record = record.clone();
+        let MonitorRecord::InterEstimate { switches, .. } = &mut record else {
+            unreachable!("the fixture holds an estimate record");
+        };
+        prop_assert!(switches.len() >= 2, "the estimate covers several shards");
+        let mut open_ended = vec![false; index.num_switches()];
+        for (k, s) in switches.iter_mut().enumerate() {
+            let (lat, cbw) = (widths[(2 * k) % 8], widths[(2 * k + 1) % 8]);
+            (s.lat_lo, s.lat_hi) = band_around(s.lat, lat);
+            (s.cbw_lo, s.cbw_hi) = band_around(s.cbw, cbw);
+            open_ended[s.switch as usize] = lat.1 == 2 || cbw.1 == 2;
+        }
+        let est = InterEstimate::from_record(&record).expect("an estimate record");
+        for weights in [
+            NetworkWeights::paper_default(),
+            NetworkWeights { latency: 1.0, bandwidth: 0.0 },
+            NetworkWeights { latency: 0.0, bandwidth: 1.0 },
+        ] {
+            let loads = Loads::derive_sharded(
+                snap,
+                &est,
+                index,
+                &ComputeWeights::paper_default(),
+                &weights,
+                Some(4),
+                &StalenessPolicy::default(),
+            )
+            .expect("a warm snapshot derives");
+            let NlRep::Estimated(nl) = &loads.nl else {
+                panic!("derive_sharded attaches bounds");
+            };
+            prop_assert!(loads.cl.iter().all(|c| c.is_finite()));
+            for (i, &u) in loads.usable.iter().enumerate() {
+                for &v in &loads.usable[i + 1..] {
+                    let point = nl.get(u, v);
+                    let (lo, hi) = nl.bounds(u, v);
+                    prop_assert!(point.is_finite() && point >= 0.0, "{u}-{v}: point {point}");
+                    prop_assert!(lo.is_finite() && lo <= point, "{u}-{v}: lo {lo} > {point}");
+                    prop_assert!(!hi.is_nan() && hi >= point, "{u}-{v}: hi {hi} < {point}");
+                    let ends = [u, v].map(|n| open_ended[index.switch_of(n).index()]);
+                    prop_assert!(
+                        hi.is_finite() || ends.contains(&true),
+                        "{u}-{v}: infinite hi from finite bands"
+                    );
+                }
+            }
+            let pruning = nl.min_incident(&loads.usable);
+            prop_assert!(pruning.iter().all(|b| b.is_finite()), "{pruning:?}");
         }
     }
 }

@@ -531,8 +531,7 @@ impl BandwidthD {
         for round in round_robin_rounds(live.len()) {
             for (a, b) in round {
                 let (u, v) = (live[a], live[b]);
-                let bw = cluster.measure_bandwidth_bps(u, v);
-                let peak = cluster.peak_bandwidth_bps(u, v);
+                let (bw, peak) = cluster.probe_bandwidth(u, v);
                 if recording {
                     fold.u64(u.index() as u64)
                         .u64(v.index() as u64)

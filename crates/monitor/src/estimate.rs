@@ -40,16 +40,7 @@ use nlrm_sim_core::time::SimTime;
 use nlrm_topology::NodeId;
 use std::collections::HashMap;
 
-/// One combined latency + bandwidth probe result for a node pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairProbe {
-    /// Round-trip latency, seconds.
-    pub latency_s: f64,
-    /// Instantaneous available bandwidth, bits/s.
-    pub avail_bps: f64,
-    /// Peak (zero-load) bandwidth, bits/s.
-    pub peak_bps: f64,
-}
+pub use nlrm_cluster::PairProbe;
 
 /// Wire cost of one combined probe (latency packet pair + bulk transfer).
 pub const PAIR_PROBE_BYTES: u64 = LATENCY_PROBE_BYTES + BANDWIDTH_PROBE_BYTES;

@@ -12,7 +12,7 @@
 use crate::central::{CentralMonitor, DaemonSet};
 use crate::daemons::DaemonConfig;
 pub use crate::daemons::DaemonKind;
-use crate::estimate::{InterEstimate, NlEstimator, PairProbe};
+use crate::estimate::{InterEstimate, NlEstimator};
 use crate::gossip::GossipNet;
 use crate::shard::{ShardSummary, ShardSweeper};
 use crate::snapshot::{ClusterSnapshot, SnapshotError};
@@ -272,11 +272,7 @@ impl MonitorRuntime {
         let mut probed = 0u64;
         let mut fold = nlrm_obs::DigestFold::new();
         let mut probe = |u: NodeId, v: NodeId| {
-            let p = PairProbe {
-                latency_s: cluster.measure_latency_s(u, v),
-                avail_bps: cluster.measure_bandwidth_bps(u, v),
-                peak_bps: cluster.peak_bandwidth_bps(u, v),
-            };
+            let p = cluster.probe_pair(u, v);
             if recording {
                 probed += 1;
                 fold.u64(u.index() as u64)

@@ -24,6 +24,9 @@ use nlrm_topology::{LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+/// Histogram bucket bounds (seconds wall clock) for one job execution.
+const EXECUTE_WALL_BOUNDS: &[f64] = &[1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
+
 /// Causal-trace context for one job execution: the job's trace and the
 /// broker span execution should hang under (typically the lease's
 /// `root_span`). Passed to [`execute_traced`] by callers that want per-rank
@@ -136,12 +139,17 @@ pub fn execute(
 /// under each step per-rank `compute` spans plus `p2p`/`collective` spans
 /// for the communication phases. With `None` (or no installed observer)
 /// this is exactly `execute` — no span bookkeeping happens at all.
+///
+/// Under an installed observer, every run (traced or not) observes its
+/// wall time in the `mpi_execute_wall_seconds` histogram; the name's `wall`
+/// fragment keeps it out of the flight recorder's replay digest.
 pub fn execute_traced(
     cluster: &mut ClusterSim,
     comm: &Communicator,
     workload: &dyn Workload,
     trace: Option<&TraceCtx>,
 ) -> JobTiming {
+    let started = nlrm_obs::ctx::is_active().then(std::time::Instant::now);
     // register job load
     for (node, procs) in comm.placement() {
         cluster.add_job_load(node, procs as f64);
@@ -327,6 +335,13 @@ pub fn execute_traced(
         nlrm_obs::ctx::span_annotate(es, "compute_s", format!("{:.3}", timing.compute_s));
         nlrm_obs::ctx::span_annotate(es, "comm_s", format!("{:.3}", timing.comm_s));
         nlrm_obs::ctx::span_end(es, at(timing.total_s));
+    }
+    if let Some(started) = started {
+        nlrm_obs::ctx::observe(
+            "mpi_execute_wall_seconds",
+            EXECUTE_WALL_BOUNDS,
+            started.elapsed().as_secs_f64(),
+        );
     }
     timing
 }
@@ -587,6 +602,34 @@ mod tests {
         let _g = nlrm_obs::install(&obs);
         execute(&mut cluster, &comm, &toy);
         assert!(obs.spans.is_empty(), "plain execute must not trace");
+    }
+
+    #[test]
+    fn each_execute_records_its_wall_time() {
+        let comm = ring_comm(&[0, 1], 2);
+        let toy = Toy {
+            steps: 2,
+            gcycles: 0.5,
+            msg_bytes: 1e4,
+        };
+        // no observer: nothing to record into, and no timer is started
+        execute(&mut quiet(2), &comm, &toy);
+        let obs = nlrm_obs::Obs::new();
+        let _g = nlrm_obs::install(&obs);
+        let count = || {
+            obs.metrics
+                .histogram_snapshot("mpi_execute_wall_seconds")
+                .map_or(0, |h| h.count())
+        };
+        assert_eq!(count(), 0);
+        execute(&mut quiet(2), &comm, &toy);
+        assert_eq!(count(), 1, "plain execute is timed");
+        let tc = TraceCtx {
+            trace: TraceId::for_job(3),
+            parent: None,
+        };
+        execute_traced(&mut quiet(2), &comm, &toy, Some(&tc));
+        assert_eq!(count(), 2, "traced execute is timed once");
     }
 
     #[test]

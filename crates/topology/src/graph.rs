@@ -294,15 +294,9 @@ impl Topology {
         order
     }
 
-    /// Switch ancestors from `sw` up to and including the root.
-    pub(crate) fn ancestors(&self, sw: SwitchId) -> Vec<SwitchId> {
-        let mut out = vec![sw];
-        let mut cur = sw;
-        while let Some(p) = self.switches[cur.index()].parent {
-            out.push(p);
-            cur = p;
-        }
-        out
+    /// The parent of a switch (`None` for the root).
+    pub(crate) fn parent(&self, sw: SwitchId) -> Option<SwitchId> {
+        self.switches[sw.index()].parent
     }
 }
 
@@ -348,18 +342,5 @@ mod tests {
             LinkParams::gigabit(),
             LinkParams::gigabit(),
         );
-    }
-
-    #[test]
-    fn deep_tree_ancestors() {
-        // chain: 2 -> 1 -> 0
-        let t = Topology::tree(
-            &[None, Some(0), Some(1)],
-            &[2, 2],
-            LinkParams::gigabit(),
-            LinkParams::gigabit(),
-        );
-        let anc = t.ancestors(SwitchId(2));
-        assert_eq!(anc, vec![SwitchId(2), SwitchId(1), SwitchId(0)]);
     }
 }
